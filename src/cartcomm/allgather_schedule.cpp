@@ -182,7 +182,7 @@ namespace {
 PlanKey allgather_key_checked(const CartNeighborComm& cc,
                               const SendBlock& send,
                               std::span<const RecvBlock> recvs,
-                              DimOrder order) {
+                              DimOrder order, bool combining) {
   const int t = cc.neighborhood().count();
   MPL_REQUIRE(recvs.size() == static_cast<std::size_t>(t),
               "allgather schedule: one receive block per neighbor");
@@ -192,16 +192,18 @@ PlanKey allgather_key_checked(const CartNeighborComm& cc,
                 "allgather schedule: receive block size must equal the send "
                 "block size (neighbor " + std::to_string(i) + ")");
   }
-  return make_allgather_key(cc, send, recvs, order);
+  return make_allgather_key(cc, send, recvs, order, combining);
 }
 
 std::shared_ptr<const CompiledPlan> allgather_plan(const CartNeighborComm& cc,
                                                    std::size_t m,
                                                    DimOrder order,
-                                                   const PlanKey& key) {
-  std::shared_ptr<const CompiledPlan> plan = plan_cache_lookup(key);
-  if (plan) return plan;
-  return plan_cache_store(key, compile_allgather_plan(cc, m, order));
+                                                   const PlanKey& key,
+                                                   bool combining) {
+  return plan_cache_resolve(key, [&] {
+    return combining ? compile_allgather_plan(cc, m, order)
+                     : compile_trivial_plan(cc, true);
+  });
 }
 
 }  // namespace
@@ -209,24 +211,25 @@ std::shared_ptr<const CompiledPlan> allgather_plan(const CartNeighborComm& cc,
 Schedule build_allgather_schedule(const CartNeighborComm& cc,
                                   const SendBlock& send,
                                   std::span<const RecvBlock> recvs,
-                                  DimOrder order) {
-  const PlanKey key = allgather_key_checked(cc, send, recvs, order);
+                                  DimOrder order, bool combining) {
+  const PlanKey key = allgather_key_checked(cc, send, recvs, order, combining);
   const SendBlock sends[1] = {send};
-  return allgather_plan(cc, send.bytes(), order, key)->bind(cc, sends, recvs);
+  return allgather_plan(cc, send.bytes(), order, key, combining)
+      ->bind(cc, sends, recvs);
 }
 
 std::shared_ptr<BoundSchedule> build_allgather_schedule_shared(
     const CartNeighborComm& cc, const SendBlock& send,
-    std::span<const RecvBlock> recvs, DimOrder order) {
-  const PlanKey key = allgather_key_checked(cc, send, recvs, order);
+    std::span<const RecvBlock> recvs, DimOrder order, bool combining) {
+  const PlanKey key = allgather_key_checked(cc, send, recvs, order, combining);
   const SendBlock sends[1] = {send};
   const PlanKey bkey = make_bound_key(key, cc.comm().rank(), sends, recvs);
   if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
     return s;
   }
   return schedule_cache_store(
-      bkey,
-      allgather_plan(cc, send.bytes(), order, key)->bind(cc, sends, recvs));
+      bkey, allgather_plan(cc, send.bytes(), order, key, combining)
+                ->bind(cc, sends, recvs));
 }
 
 }  // namespace cartcomm

@@ -19,6 +19,8 @@
 // The walk below runs in the *compile* step and records an abstract
 // placement program (CompiledPlan); build_alltoall_schedule routes it
 // through the plan cache and binds the program to the caller's buffers.
+// The trivial algorithm (Listing 4) compiles into the same representation
+// (compile_trivial_plan), so both run on the one schedule executor.
 #include <numeric>
 #include <vector>
 
@@ -34,6 +36,44 @@ namespace {
 enum class Loc { sendbuf, temp_a, temp_b, recvbuf };
 
 }  // namespace
+
+CompiledPlan compile_trivial_plan(const CartNeighborComm& cc,
+                                  bool shared_send) {
+  const Neighborhood& nb = cc.neighborhood();
+  auto block = [](PlanPlacement::Kind kind, int index) {
+    PlanPlacement p;
+    p.kind = kind;
+    p.index = index;
+    return p;
+  };
+  PlanBuilder builder;
+  for (int i = 0; i < nb.count(); ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const PlanPlacement send =
+        block(PlanPlacement::Kind::send_block, shared_send ? 0 : i);
+    const PlanPlacement recv = block(PlanPlacement::Kind::recv_block, i);
+    if (nb.nonzeros(i) == 0) {
+      builder.add_copy(send, recv);
+      continue;
+    }
+    // One phase per neighbor: the executor posts its receive, then its
+    // send, then waits, which is exactly Listing 4's sendrecv. Partners off
+    // a non-periodic mesh (a function of the boundary signature) get empty
+    // payloads, so every process emits the same round sequence.
+    PlanRound round;
+    round.offset.assign(nb.offset(i).begin(), nb.offset(i).end());
+    if (cc.target_ranks()[ui] != mpl::PROC_NULL) {
+      round.send_items.push_back(send);
+      ++round.blocks_sent;
+    }
+    if (cc.source_ranks()[ui] != mpl::PROC_NULL) {
+      round.recv_items.push_back(recv);
+    }
+    builder.add_round(std::move(round));
+    builder.end_phase();
+  }
+  return builder.finish();
+}
 
 CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
                                    std::span<const std::size_t> block_bytes) {
@@ -180,21 +220,23 @@ CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
 
 namespace {
 
-/// Shared front half of both entry points: validate the descriptors and
-/// resolve the compiled plan through the cache.
+/// Resolve the compiled plan through the cache (compiling on a miss).
 std::shared_ptr<const CompiledPlan> alltoall_plan(
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs, const PlanKey& key) {
-  std::shared_ptr<const CompiledPlan> plan = plan_cache_lookup(key);
-  if (plan) return plan;
-  std::vector<std::size_t> bytes(sends.size());
-  for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
-  return plan_cache_store(key, compile_alltoall_plan(cc, bytes));
+    const PlanKey& key, bool combining) {
+  return plan_cache_resolve(key, [&] {
+    if (!combining) return compile_trivial_plan(cc, false);
+    std::vector<std::size_t> bytes(sends.size());
+    for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
+    return compile_alltoall_plan(cc, bytes);
+  });
 }
 
+/// Shared front half of both entry points: validate the descriptors and
+/// build the cache key.
 PlanKey alltoall_key_checked(const CartNeighborComm& cc,
                              std::span<const SendBlock> sends,
-                             std::span<const RecvBlock> recvs) {
+                             std::span<const RecvBlock> recvs, bool combining) {
   const int t = cc.neighborhood().count();
   MPL_REQUIRE(sends.size() == static_cast<std::size_t>(t) &&
                   recvs.size() == static_cast<std::size_t>(t),
@@ -205,28 +247,29 @@ PlanKey alltoall_key_checked(const CartNeighborComm& cc,
                 "alltoall schedule: send/receive block size mismatch for "
                 "neighbor " + std::to_string(i));
   }
-  return make_alltoall_key(cc, sends, recvs);
+  return make_alltoall_key(cc, sends, recvs, combining);
 }
 
 }  // namespace
 
 Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
-                                 std::span<const RecvBlock> recvs) {
-  const PlanKey key = alltoall_key_checked(cc, sends, recvs);
-  return alltoall_plan(cc, sends, recvs, key)->bind(cc, sends, recvs);
+                                 std::span<const RecvBlock> recvs,
+                                 bool combining) {
+  const PlanKey key = alltoall_key_checked(cc, sends, recvs, combining);
+  return alltoall_plan(cc, sends, key, combining)->bind(cc, sends, recvs);
 }
 
 std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs) {
-  const PlanKey key = alltoall_key_checked(cc, sends, recvs);
+    std::span<const RecvBlock> recvs, bool combining) {
+  const PlanKey key = alltoall_key_checked(cc, sends, recvs, combining);
   const PlanKey bkey = make_bound_key(key, cc.comm().rank(), sends, recvs);
   if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
     return s;
   }
   return schedule_cache_store(
-      bkey, alltoall_plan(cc, sends, recvs, key)->bind(cc, sends, recvs));
+      bkey, alltoall_plan(cc, sends, key, combining)->bind(cc, sends, recvs));
 }
 
 }  // namespace cartcomm

@@ -1,4 +1,5 @@
-// Message-combining schedule construction (Algorithms 1 and 2).
+// Schedule construction: the message-combining Algorithms 1 and 2, and
+// the trivial algorithm (Listing 4) selected by `combining = false`.
 //
 // Both builders are split into a rank-independent *compile* step and a
 // per-call *bind* step (see plan.hpp): the entry points below validate
@@ -26,9 +27,11 @@ namespace cartcomm {
 /// processes must pass blocks of identical sizes per neighbor index.
 /// Runs in d phases of sum(C_k) rounds; per-process volume sum(z_i) blocks
 /// (Proposition 3.2). O(td) construction, local only (Proposition 3.1).
+/// With `combining = false`, the trivial schedule (compile_trivial_plan).
 Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
-                                 std::span<const RecvBlock> recvs);
+                                 std::span<const RecvBlock> recvs,
+                                 bool combining = true);
 
 /// Algorithm 2: the message-combining allgather schedule. One send block
 /// (replicated to all targets), one receive block per source neighbor; all
@@ -36,10 +39,12 @@ Schedule build_alltoall_schedule(const CartNeighborComm& cc,
 /// built over dimensions in the given order (the paper's default explores
 /// dimensions by increasing C_k). Runs in d phases of sum(C_k) rounds;
 /// per-process volume = number of tree edges (Proposition 3.3).
+/// With `combining = false`, the trivial schedule (compile_trivial_plan).
 Schedule build_allgather_schedule(const CartNeighborComm& cc,
                                   const SendBlock& send,
                                   std::span<const RecvBlock> recvs,
-                                  DimOrder order = DimOrder::increasing_ck);
+                                  DimOrder order = DimOrder::increasing_ck,
+                                  bool combining = true);
 
 /// One-shot variants for the blocking non-persistent collectives: return a
 /// shared Schedule served from the bound-schedule cache (plan + rank +
@@ -48,12 +53,12 @@ Schedule build_allgather_schedule(const CartNeighborComm& cc,
 /// returned schedule is bit-identical to the by-value builders'.
 [[nodiscard]] std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs);
+    std::span<const RecvBlock> recvs, bool combining = true);
 
 [[nodiscard]] std::shared_ptr<BoundSchedule> build_allgather_schedule_shared(
     const CartNeighborComm& cc, const SendBlock& send,
     std::span<const RecvBlock> recvs,
-    DimOrder order = DimOrder::increasing_ck);
+    DimOrder order = DimOrder::increasing_ck, bool combining = true);
 
 /// Reducing schedules (the allgather tree run in reverse with
 /// combine-on-unpack; reduce_schedule.cpp). `sends` holds one block for

@@ -178,11 +178,12 @@ PlanKey seal(std::vector<std::int64_t> w) {
 
 PlanKey make_alltoall_key(const CartNeighborComm& cc,
                           std::span<const SendBlock> sends,
-                          std::span<const RecvBlock> recvs) {
+                          std::span<const RecvBlock> recvs, bool combining) {
   std::vector<std::int64_t> w;
-  w.reserve(8 + static_cast<std::size_t>(cc.neighborhood().count()) *
+  w.reserve(9 + static_cast<std::size_t>(cc.neighborhood().count()) *
                     (static_cast<std::size_t>(cc.neighborhood().ndims()) + 3));
   w.push_back(1);  // collective kind: alltoall
+  w.push_back(combining ? 1 : 0);
   append_common(w, cc);
   for (std::size_t i = 0; i < sends.size(); ++i) {
     w.push_back(static_cast<std::int64_t>(sends[i].bytes()));
@@ -193,11 +194,13 @@ PlanKey make_alltoall_key(const CartNeighborComm& cc,
 }
 
 PlanKey make_allgather_key(const CartNeighborComm& cc, const SendBlock& send,
-                           std::span<const RecvBlock> recvs, DimOrder order) {
+                           std::span<const RecvBlock> recvs, DimOrder order,
+                           bool combining) {
   std::vector<std::int64_t> w;
-  w.reserve(10 + static_cast<std::size_t>(cc.neighborhood().count()) *
+  w.reserve(11 + static_cast<std::size_t>(cc.neighborhood().count()) *
                      (static_cast<std::size_t>(cc.neighborhood().ndims()) + 1));
   w.push_back(2);  // collective kind: allgather
+  w.push_back(combining ? 1 : 0);
   append_common(w, cc);
   w.push_back(static_cast<std::int64_t>(order));
   w.push_back(static_cast<std::int64_t>(send.bytes()));
@@ -364,16 +367,32 @@ std::shared_ptr<const CompiledPlan> plan_cache_lookup(const PlanKey& key) {
   return it->second.plan;
 }
 
-std::shared_ptr<const CompiledPlan> plan_cache_store(const PlanKey& key,
-                                                     CompiledPlan&& plan) {
-  auto sp = std::make_shared<const CompiledPlan>(std::move(plan));
-  if (!plan_cache_enabled()) return sp;  // caller keeps the sole reference
+std::shared_ptr<const CompiledPlan> plan_cache_resolve(
+    const PlanKey& key, const std::function<CompiledPlan()>& compile) {
+  if (!plan_cache_enabled()) {
+    return std::make_shared<const CompiledPlan>(compile());  // not counted
+  }
   PlanCacheShard& sh = shard_for(key.hash);
   mpl::detail::CheckedLock lock(sh.mtx_);
+  const std::uint64_t tick =
+      tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
   auto [it, inserted] = sh.map_.try_emplace(key);
-  if (!inserted) return it->second.plan;  // concurrent compile: first wins
-  it->second.plan = sp;
-  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
+  it->second.tick = tick;
+  if (!inserted) {
+    telemetry::on_plan_cache_hit();
+    return it->second.plan;
+  }
+  telemetry::on_plan_cache_miss();
+  // Single flight: compile under the shard lock, so a concurrent misser of
+  // this key blocks above and then hits. Compile is pure and takes no
+  // lock, which keeps plan_cache a leaf level.
+  try {
+    it->second.plan = std::make_shared<const CompiledPlan>(compile());
+  } catch (...) {
+    sh.map_.erase(it);
+    throw;
+  }
+  std::shared_ptr<const CompiledPlan> sp = it->second.plan;
   telemetry::on_plan_cache_insert();
   const std::size_t cap = per_shard_cap();
   while (cap != 0 && sh.map_.size() > cap) {

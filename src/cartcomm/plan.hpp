@@ -1,15 +1,16 @@
 // Compiled communication plans and the process-global plan cache.
 //
-// The paper's isomorphism result is that a combining schedule's structure
-// depends only on the neighborhood signature — never on the calling
-// rank's data, and on a torus not even on its position. Splitting the
-// schedule *build* into a rank-independent compile step and a cheap
-// per-call bind step makes that literal in the code:
+// The paper's isomorphism result is that a schedule's structure depends
+// only on the neighborhood signature — never on the calling rank's data,
+// and on a torus not even on its position. Splitting the schedule *build*
+// into a rank-independent compile step and a cheap per-call bind step
+// makes that literal in the code:
 //
-//   compile  — runs Algorithm 1/2 once and records a placement program: a
-//              per-round list of abstract block placements (send block i,
-//              receive block i, or a temp-pool range), the generating
-//              offsets, phase boundaries and the final local copies. A
+//   compile  — runs Algorithm 1/2 (or the trivial Listing 4 plan) once and
+//              records a placement program: a per-round list of abstract
+//              block placements (send block i, receive block i, or a
+//              temp-pool range), the generating offsets, phase
+//              boundaries and the final local copies. A
 //              CompiledPlan holds no addresses, datatypes or ranks — it is
 //              immutable and shareable across communicators and threads.
 //   bind     — replays the placement program against concrete buffers:
@@ -27,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -172,13 +174,17 @@ struct PlanKey {
 
 /// Key builders for the two collective kinds. Block *addresses* are
 /// deliberately absent — plans are position- and buffer-independent.
+/// `combining = false` keys the trivial plan, which never shares an entry
+/// with the combining plan of the same signature.
 [[nodiscard]] PlanKey make_alltoall_key(const CartNeighborComm& cc,
                                         std::span<const SendBlock> sends,
-                                        std::span<const RecvBlock> recvs);
+                                        std::span<const RecvBlock> recvs,
+                                        bool combining = true);
 [[nodiscard]] PlanKey make_allgather_key(const CartNeighborComm& cc,
                                          const SendBlock& send,
                                          std::span<const RecvBlock> recvs,
-                                         DimOrder order);
+                                         DimOrder order,
+                                         bool combining = true);
 
 /// The two reducing collectives sharing one plan family: neighbor reduce
 /// (every contribution is the source's block 0) and reduce_scatter_block
@@ -204,6 +210,14 @@ enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
                                                   std::size_t block_bytes,
                                                   DimOrder order);
 
+/// The trivial algorithm (Listing 4) as a plan, for alltoall and allgather
+/// alike: one single-round phase per non-zero neighbor vector, in neighbor
+/// index order, and a final-phase local copy per zero vector. Round i sends
+/// send block i (block 0 when `shared_send`, the allgather case) and
+/// receives receive block i. Pure in the key like the steps above.
+[[nodiscard]] CompiledPlan compile_trivial_plan(const CartNeighborComm& cc,
+                                                bool shared_send);
+
 /// Reducing compile step (reverse allgather tree with combine-on-unpack;
 /// see reduce_schedule.cpp). `fold_elems` = op elements per block
 /// (block_bytes / op.elem_size()).
@@ -217,20 +231,22 @@ enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
 //
 // Process-global (ranks are threads of one process) and sharded by key
 // hash; each shard is a small map under its own CheckedMutex at
-// LockLevel::plan_cache (a leaf — compilation and binding happen outside
-// the lock). Lookup/store are the cache interface used by the
-// build_*_schedule entry points; the remaining functions are test and
-// tooling knobs. First insert wins: concurrent misses on the same key
-// both compile, and the loser adopts the winner's plan.
+// LockLevel::plan_cache. plan_cache_resolve is the cache interface used by
+// the build_*_schedule entry points; the remaining functions are test and
+// tooling knobs. Compiles are single-flight: a miss compiles while holding
+// its shard lock, so concurrent missers of the same key wait and then hit.
+// The lock stays a leaf because compile steps are pure and take no lock
+// (binding happens outside the lock).
 
 /// Cached plan for `key`, or null on a miss (or when the cache is off).
 [[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_lookup(
     const PlanKey& key);
 
-/// Publish a freshly compiled plan; returns the canonical shared plan
-/// (an earlier concurrent insert wins over `plan`).
-[[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_store(
-    const PlanKey& key, CompiledPlan&& plan);
+/// Cached plan for `key`, compiled by `compile` on a miss and published.
+/// Every key compiles once while it stays cached (misses == inserts). With
+/// the cache off, compiles without storing or counting.
+[[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_resolve(
+    const PlanKey& key, const std::function<CompiledPlan()>& compile);
 
 /// Cache toggle: defaults to on, initial value from MPL_PLAN_CACHE
 /// (0/false disables). The programmatic setter overrides the environment.

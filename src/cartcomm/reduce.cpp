@@ -99,8 +99,7 @@ int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
 }  // namespace
 
 /// Internal factory assembling persistent reducing collectives (the
-/// counterpart of CollBuilder in coll.cpp). Both algorithms execute
-/// through the schedule, so the state is always sched_based.
+/// counterpart of CollBuilder in coll.cpp).
 class ReduceBuilder {
  public:
   static PersistentColl make(const CartNeighborComm& cc, const void* sendbuf,
@@ -116,7 +115,6 @@ class ReduceBuilder {
     detail::PersistentState& st = *p.st_;
     st.comm = cc.comm();
     st.alg = resolve_reduce(cc, op, alg);
-    st.sched_based = true;
     st.sched = build_reduce_schedule(cc, sends, recv, op, variant,
                                      st.alg == Algorithm::combining, order);
     return p;

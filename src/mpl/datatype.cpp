@@ -254,6 +254,15 @@ void Datatype::flatten(std::ptrdiff_t base_disp, int count,
                        std::vector<TypeBlock>& out) const {
   const TypeNode& n = node();
   const std::ptrdiff_t ext = n.ub - n.lb;
+  if (count <= 0) return;
+  if (n.dense()) {
+    // Consecutive elements tile one range: the merged list of the
+    // element-wise loop below, in a single push.
+    detail::push_merged(out, TypeBlock{base_disp + n.lb,
+                                       static_cast<std::size_t>(ext) *
+                                           static_cast<std::size_t>(count)});
+    return;
+  }
   for (int i = 0; i < count; ++i) {
     const std::ptrdiff_t shift = base_disp + static_cast<std::ptrdiff_t>(i) * ext;
     for (const TypeBlock& b : n.blocks) {
@@ -324,14 +333,9 @@ std::size_t Datatype::unpack_partial(const std::byte* in, std::size_t nbytes,
 
 void TypeBuilder::append(const void* addr, int count, const Datatype& t) {
   MPL_REQUIRE(count >= 0, "TypeBuilder::append: negative count");
-  const std::ptrdiff_t base =
-      reinterpret_cast<std::ptrdiff_t>(addr);  // absolute displacement
-  std::vector<TypeBlock> tmp;
-  t.flatten(base, count, tmp);
-  for (const TypeBlock& b : tmp) {
-    detail::push_merged(blocks_, b);
-    size_ += b.len;
-  }
+  // Absolute displacement; flatten merges into the builder's list directly.
+  t.flatten(reinterpret_cast<std::ptrdiff_t>(addr), count, blocks_);
+  size_ += t.pack_size(count);
 }
 
 void TypeBuilder::append_bytes(const void* addr, std::size_t nbytes) {

@@ -99,16 +99,71 @@ TEST(Persistent, TrivialPlanAlsoReusable) {
   });
 }
 
-TEST(Persistent, ScheduleIntrospectionRequiresCombining) {
-  mpl::run(4, [](mpl::Comm& world) {
-    const std::vector<int> dims{2, 2};
-    auto cc = cartcomm::cart_neighborhood_create(world, dims, {},
-                                                 Neighborhood::von_neumann(2));
-    std::vector<int> sb(4), rb(4);
-    auto op = cartcomm::alltoall_init(sb.data(), 1, kInt, rb.data(), 1, kInt,
-                                      cc, Algorithm::trivial);
-    EXPECT_THROW(static_cast<void>(op.schedule()), mpl::Error);
-  });
+TEST(Persistent, TrivialScheduleHasOnePhasePerNeighbor) {
+  // The trivial plan (Listing 4) is a schedule too: one single-round phase
+  // per non-zero vector, and one local copy per zero vector — on a torus
+  // and on a mesh, where off-mesh partners keep their (empty) rounds.
+  for (const std::vector<int>& periods : {std::vector<int>{1, 1},
+                                         std::vector<int>{0, 0}}) {
+    mpl::run(9, [&](mpl::Comm& world) {
+      const std::vector<int> dims{3, 3};
+      const Neighborhood nb(2, {0, 0, 1, 0, -1, 1, 0, 0, 0, -1});
+      auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
+      const int t = nb.count();
+      std::vector<int> sb(static_cast<std::size_t>(t));
+      std::vector<int> rb(static_cast<std::size_t>(t));
+      auto a2a = cartcomm::alltoall_init(sb.data(), 1, kInt, rb.data(), 1,
+                                         kInt, cc, Algorithm::trivial);
+      auto ag = cartcomm::allgather_init(sb.data(), 1, kInt, rb.data(), 1,
+                                         kInt, cc, Algorithm::trivial);
+      for (const cartcomm::PersistentColl* op : {&a2a, &ag}) {
+        const cartcomm::Schedule& s = op->schedule();
+        EXPECT_EQ(s.phases(), cc.stats().trivial_rounds);
+        EXPECT_EQ(s.rounds(), cc.stats().trivial_rounds);
+        EXPECT_EQ(s.rounds(), 3);
+        EXPECT_EQ(s.copy_count(), 2);  // the two zero vectors
+        EXPECT_EQ(s.temp_bytes(), 0u);
+      }
+    });
+  }
+}
+
+TEST(Persistent, TrivialOneShotAndPersistentClocksAgree) {
+  // One-shot and persistent trivial calls run the same bound schedule, so
+  // they pay the same model charges (self copy included).
+  auto clocks = [](bool persistent) {
+    std::vector<double> out(9);
+    mpl::RunOptions opts;
+    opts.net = mpl::NetConfig::omnipath();
+    mpl::run(
+        9,
+        [&](mpl::Comm& world) {
+          const std::vector<int> dims{3, 3};
+          const Neighborhood nb = Neighborhood::von_neumann(2, /*self=*/true);
+          auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+          const int t = nb.count();
+          const int m = 100;
+          std::vector<int> sb(static_cast<std::size_t>(t) * m, world.rank());
+          std::vector<int> rb(sb.size());
+          if (persistent) {
+            cartcomm::alltoall_init(sb.data(), m, kInt, rb.data(), m, kInt, cc,
+                                    Algorithm::trivial)
+                .execute();
+          } else {
+            cartcomm::alltoall(sb.data(), m, kInt, rb.data(), m, kInt, cc,
+                               Algorithm::trivial);
+          }
+          out[static_cast<std::size_t>(world.rank())] = world.vclock();
+        },
+        opts);
+    return out;
+  };
+  const std::vector<double> oneshot = clocks(false);
+  const std::vector<double> persistent = clocks(true);
+  for (std::size_t r = 0; r < 9; ++r) {
+    EXPECT_GT(oneshot[r], 0.0);
+    EXPECT_DOUBLE_EQ(oneshot[r], persistent[r]) << "rank " << r;
+  }
 }
 
 TEST(Persistent, DefaultConstructedThrows) {

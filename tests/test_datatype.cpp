@@ -1,6 +1,7 @@
 // Unit tests for the derived-datatype engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <numeric>
 #include <vector>
@@ -296,6 +297,40 @@ TEST(TypeBuilder, MergesAdjacentAppends) {
   Datatype t = tb.build();
   EXPECT_EQ(t.block_count(), 1u);
   EXPECT_EQ(t.size(), 4 * sizeof(int));
+
+  // Dense multi-element input (the single-push fast path of flatten): the
+  // result must be the block list of the element-wise walk, one run per
+  // maximal contiguous range.
+  const Datatype tri = Datatype::contiguous(3, Datatype::of<int>());
+  const Datatype gap = Datatype::resized(tri, 0, 4 * sizeof(int));
+  std::vector<int> b(24);
+  const auto at = [&](std::size_t i) {
+    return reinterpret_cast<std::ptrdiff_t>(b.data() + i);
+  };
+  std::vector<TypeBlock> flat;
+  tri.flatten(at(0), 4, flat);
+  EXPECT_EQ(flat, (std::vector<TypeBlock>{{at(0), 12 * sizeof(int)}}));
+  flat.clear();
+  const int three[] = {3};
+  const std::ptrdiff_t two_ints[] = {2 * sizeof(int)};
+  const Datatype shifted =
+      Datatype::hindexed(three, two_ints, Datatype::of<int>());
+  shifted.flatten(at(0), 2, flat);  // dense with lb > 0
+  EXPECT_EQ(flat, (std::vector<TypeBlock>{{at(2), 6 * sizeof(int)}}));
+  flat.clear();
+  gap.flatten(at(0), 2, flat);  // not dense: one block per element
+  EXPECT_EQ(flat, (std::vector<TypeBlock>{{at(0), 3 * sizeof(int)},
+                                          {at(4), 3 * sizeof(int)}}));
+  TypeBuilder tb2;
+  tb2.append(b.data(), 2, tri);
+  tb2.append(b.data() + 6, 2, tri);  // adjacent: merges into one run
+  tb2.append(b.data() + 16, 1, tri);
+  EXPECT_EQ(tb2.size(), 15 * sizeof(int));
+  const Datatype t2 = tb2.build();
+  const std::vector<TypeBlock> want{{at(0), 12 * sizeof(int)},
+                                    {at(16), 3 * sizeof(int)}};
+  EXPECT_TRUE(std::equal(t2.blocks().begin(), t2.blocks().end(), want.begin(),
+                         want.end()));
 }
 
 TEST(TypeBuilder, AppendBytesAndReset) {

@@ -20,10 +20,12 @@ namespace {
 // Global cell owner oracle: every process fills its interior with
 // f(global coords); after an exchange every ghost cell must hold the value
 // the owning process wrote.
+// Hashed in wrapping unsigned arithmetic: 3-D coordinates overflow a
+// signed int (undefined behaviour), and every ghost cell is still compared.
 int cell_value(std::span<const int> gcoord) {
-  int v = 17;
-  for (int c : gcoord) v = v * 1009 + c;
-  return v;
+  unsigned v = 17;
+  for (int c : gcoord) v = v * 1009u + static_cast<unsigned>(c);
+  return static_cast<int>(v);
 }
 
 struct HaloCase {

@@ -38,7 +38,8 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
                                 const std::vector<int>& periods,
                                 const Neighborhood& nb, ScheduleKind kind,
                                 cartcomm::DimOrder order =
-                                    cartcomm::DimOrder::increasing_ck) {
+                                    cartcomm::DimOrder::increasing_ck,
+                                bool combining = true) {
   const int p = product(dims);
   const int t = nb.count();
   const int m = 4;
@@ -61,7 +62,7 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
         recvs[static_cast<std::size_t>(i)] = {
             recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
       }
-      sched = cartcomm::build_alltoall_schedule(cc, sends, recvs);
+      sched = cartcomm::build_alltoall_schedule(cc, sends, recvs, combining);
     } else {
       cartcomm::SendBlock send{sendbuf.data(), 1, block};
       std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
@@ -69,11 +70,13 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
         recvs[static_cast<std::size_t>(i)] = {
             recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
       }
-      sched = cartcomm::build_allgather_schedule(cc, send, recvs, order);
+      sched =
+          cartcomm::build_allgather_schedule(cc, send, recvs, order, combining);
     }
     const int r = world.rank();
-    out.local[static_cast<std::size_t>(r)] =
-        cartcomm::verify_schedule(sched, cc, kind, order);
+    // The trivial plan has no closed form to check against.
+    out.local[static_cast<std::size_t>(r)] = cartcomm::verify_schedule(
+        sched, cc, combining ? kind : ScheduleKind::unknown, order);
     out.summaries[static_cast<std::size_t>(r)] = cartcomm::summarize(sched, cc);
   });
   return out;
@@ -113,13 +116,18 @@ TEST(VerifyPositive, AllTestGridsVerifyClean) {
   };
   for (const Config& c : configs) {
     for (const auto kind : {ScheduleKind::alltoall, ScheduleKind::allgather}) {
-      SweepResult r = build_and_summarize(c.dims, c.periods, c.nb, kind);
-      for (const VerifyReport& rep : r.local) {
-        EXPECT_TRUE(rep.ok()) << rep.to_string();
+      // Message-combining and trivial (Listing 4) plans alike.
+      for (const bool combining : {true, false}) {
+        SweepResult r =
+            build_and_summarize(c.dims, c.periods, c.nb, kind,
+                                cartcomm::DimOrder::increasing_ck, combining);
+        for (const VerifyReport& rep : r.local) {
+          EXPECT_TRUE(rep.ok()) << rep.to_string();
+        }
+        const mpl::CartGrid grid(c.dims, c.periods);
+        const VerifyReport global = cartcomm::verify_global(r.summaries, grid);
+        EXPECT_TRUE(global.ok()) << global.to_string();
       }
-      const mpl::CartGrid grid(c.dims, c.periods);
-      const VerifyReport global = cartcomm::verify_global(r.summaries, grid);
-      EXPECT_TRUE(global.ok()) << global.to_string();
     }
   }
 }
