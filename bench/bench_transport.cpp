@@ -256,7 +256,7 @@ Result run_planhit(int p, int iters, int reps, const mpl::RunOptions& opts) {
 // -- driver -------------------------------------------------------------------
 
 bool write_json(const std::string& path, const std::vector<Result>& results,
-                bool telemetry) {
+                bool telemetry, bool metrics) {
   if (path.empty()) return true;
   std::ofstream os(path);
   if (!os) {
@@ -264,7 +264,9 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
     return false;
   }
   os << "{\n  \"kind\": \"bench-transport\",\n  \"telemetry\": "
-     << (telemetry ? "true" : "false") << ",\n  \"results\": [";
+     << (telemetry ? "true" : "false")
+     << ",\n  \"metrics\": " << (metrics ? "true" : "false")
+     << ",\n  \"results\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     char line[384];
@@ -289,6 +291,7 @@ int main(int argc, char** argv) {
   std::string only_workload;
   bool quick = false;
   bool telemetry = false;
+  std::string metrics_path;
   int reps_override = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -299,6 +302,11 @@ int main(int argc, char** argv) {
       // probes) for every run, so the CI perf gate can assert its
       // overhead against a plain run of the same binary.
       telemetry = true;
+    } else if (arg.rfind("--metrics=", 0) == 0) {
+      // Arm the metrics JSON instead (each run rewrites PATH). It counts
+      // the same facts in the same counters, so its overhead gate pairs
+      // it with --telemetry.
+      metrics_path = arg.substr(std::strlen("--metrics="));
     } else if (arg.rfind("--workload=", 0) == 0) {
       // Restrict the sweep to one workload (the overhead gate measures
       // only fanin, with extra reps — no point paying for the others).
@@ -317,13 +325,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown option %s\n"
                    "usage: bench_transport [--quick] [--telemetry] "
-                   "[--workload=NAME] [--reps=N] [--json=PATH|--no-json]\n",
+                   "[--metrics=PATH] [--workload=NAME] [--reps=N] "
+                   "[--json=PATH|--no-json]\n",
                    arg.c_str());
       return 2;
     }
   }
   mpl::RunOptions opts;
   opts.telemetry.enabled = telemetry;
+  opts.trace.metrics_path = metrics_path;
   const auto want = [&](const char* w) {
     return only_workload.empty() || only_workload == w;
   };
@@ -336,8 +346,9 @@ int main(int argc, char** argv) {
   // enough samples for the median to shed single hiccups too.
   const int reps = reps_override > 0 ? reps_override : (quick ? 2 : 6);
   std::vector<Result> results;
-  std::printf("Transport wall-clock benchmark (model off)%s%s\n",
-              quick ? " [quick]" : "", telemetry ? " [telemetry]" : "");
+  std::printf("Transport wall-clock benchmark (model off)%s%s%s\n",
+              quick ? " [quick]" : "", telemetry ? " [telemetry]" : "",
+              metrics_path.empty() ? "" : " [metrics]");
   for (const int p : ps) {
     // Scale iteration counts down with p so total message counts (and the
     // oversubscription of host cores) stay comparable across the sweep.
@@ -361,5 +372,7 @@ int main(int argc, char** argv) {
       results.push_back(r);
     }
   }
-  return write_json(json_path, results, telemetry) ? 0 : 1;
+  return write_json(json_path, results, telemetry, !metrics_path.empty())
+             ? 0
+             : 1;
 }

@@ -43,7 +43,9 @@ struct Options {
       if (arg.rfind("--trace=", 0) == 0) {
         o.trace_path = arg.substr(std::strlen("--trace="));
       } else if (arg == "--metrics") {
-        o.metrics_path = "-";
+        // Built in place: assigning the literal trips GCC 12's -Wrestrict
+        // false positive inside char_traits at -O2 and above.
+        o.metrics_path.assign(1, '-');
       } else if (arg.rfind("--metrics=", 0) == 0) {
         o.metrics_path = arg.substr(std::strlen("--metrics="));
       } else if (arg.rfind("--schedule-json=", 0) == 0) {

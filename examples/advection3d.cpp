@@ -27,6 +27,7 @@ int main() {
   const std::vector<int> pdims{kP, kP, kP};
   const std::vector<int> periods{1, 1, 1};
 
+  bool ok = false;  // rank 0's self-check, read after run() joined it
   mpl::run(kP * kP * kP, [&](mpl::Comm& world) {
     mpl::CartComm topo = mpl::cart_create(world, pdims, periods);
     const auto my = topo.grid().coords_of(world.rank());
@@ -124,6 +125,8 @@ int main() {
     if (world.rank() == 0) {
       std::printf("final mass %.6f (drift %.2e)\n", mass1,
                   std::abs(mass1 - mass0));
+      // Upwind advection on a periodic domain conserves mass to round-off.
+      ok = std::abs(mass1 - mass0) < 1e-10;
     }
     if (local_max == global_max) {
       std::printf("peak %.4f at global cell (%d,%d,%d) on rank %d\n",
@@ -131,5 +134,6 @@ int main() {
                   world.rank());
     }
   });
-  return 0;
+  if (!ok) std::printf("FAILED: mass drift above 1e-10\n");
+  return ok ? 0 : 1;
 }

@@ -10,8 +10,6 @@
 #include "mpl/error.hpp"
 #include "mpl/proc.hpp"
 #include "mpl/request.hpp"
-#include "telemetry/flight.hpp"
-#include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
 
 namespace cartcomm {
@@ -28,6 +26,11 @@ void require_null_provenance(const ScheduleRound& r) {
   MPL_REQUIRE(r.recvrank != mpl::PROC_NULL || r.recv_boundary,
               "schedule: receive partner is PROC_NULL without mesh-boundary "
               "provenance (rank mismatch?)");
+}
+
+// Virtual time for event stamps: 0 with the model off.
+double model_now(const mpl::Comm& comm) {
+  return comm.model_enabled() ? comm.proc().clock().now() : 0.0;
 }
 
 }  // namespace
@@ -61,57 +64,28 @@ Schedule::Execution::Execution(const Schedule* s, const mpl::Comm& comm,
     scratch_->head = 0;
     scratch_->next_slot = 0;
   }
-  trace::RankTrace* tr = comm.proc().trace();
-  if (tr && tr->active()) {
-    tr_ = tr;
-    if (tr_->metrics_on()) {
-      tr_->on_schedule_execution(comm_.state()->ctx);
-    }
-  }
-  publish_point_ = comm.proc().faults() != nullptr;
-  // The flight recorder is always armed; the latency histogram only when
-  // telemetry is. The ordinal is per rank thread, so a stall report can
-  // line up "execution #k" across ranks.
+  rec_ = &comm.proc().recorder();
+  // The ordinal is per rank thread, so a stall report can line up
+  // "execution #k" across ranks.
   thread_local std::int32_t tl_exec_ordinal = 0;
   exec_ordinal_ = tl_exec_ordinal++;
-  flight_ = &comm.proc().flight();
-  telem_ = comm.proc().telem();
-  t0_ = std::chrono::steady_clock::now();
-  flight_->record(telemetry::FlightKind::sched_begin, exec_ordinal_);
+  t0_ = rec_->on_sched_begin(comm_.state()->ctx, exec_ordinal_);
   post_phase();  // may already complete everything (no communication)
 }
 
-void Schedule::Execution::begin_phase_scope(int phase) {
-  if (!tr_) return;
+void Schedule::Execution::begin_phase_scope(int phase, bool comm_phase) {
   cur_phase_ = phase;
-  tr_->set_phase(phase);
-  if (tr_->metrics_on()) tr_->on_phase(comm_.state()->ctx);
-  if (tr_->tracing()) {
-    phase_v0_ = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-    phase_w0_ = comm_.proc().tracer()->wall_now();
-  }
+  phase_v0_ = model_now(comm_);
+  phase_w0_ = rec_->on_phase_begin(comm_.state()->ctx, phase, comm_phase);
 }
 
-// Emit the span event of the phase currently in flight: from its first
-// post to the completion of all its receives. Carries no cost components
-// itself (those live on the send/recv/copy events it encloses), so the
-// attribution sum is never double counted.
+// Close the phase in flight: from its first post to the completion of all
+// its receives.
 void Schedule::Execution::end_phase_scope() {
-  if (!tr_ || cur_phase_ < 0) return;
-  if (tr_->tracing()) {
-    trace::Event e;
-    e.kind = trace::EventKind::phase;
-    e.phase = cur_phase_;
-    e.ctx = comm_.state()->ctx;
-    e.v_start = phase_v0_;
-    e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-    e.w_start = phase_w0_;
-    e.w_end = comm_.proc().tracer()->wall_now();
-    tr_->record(std::move(e));
-  }
+  if (cur_phase_ < 0) return;
+  rec_->on_phase_end(comm_.state()->ctx, cur_phase_, phase_v0_, phase_w0_,
+                     model_now(comm_));
   cur_phase_ = -1;
-  tr_->set_phase(-1);
-  tr_->set_round(-1);
 }
 
 // Apply the prefix of the fold program whose phase tags are below `below`.
@@ -137,7 +111,7 @@ void Schedule::Execution::apply_folds(int below) {
       op.fold(f.dst, f.src, f.count);
     }
     if (comm_.model_enabled()) comm_.proc().clock().local_copy(bytes);
-    if (telem_) telem_->on_reduce_fold(bytes);
+    rec_->on_fold(comm_.state()->ctx, bytes);
   }
 }
 
@@ -153,22 +127,12 @@ void Schedule::Execution::post_phase() {
       finish_copies();
       return;
     }
-    begin_phase_scope(static_cast<int>(phase_));
-    flight_->record(telemetry::FlightKind::phase_begin,
-                    static_cast<std::int32_t>(phase_));
+    begin_phase_scope(static_cast<int>(phase_), true);
     const int nrounds = sched_->phase_rounds_[phase_];
     for (int j = 0; j < nrounds; ++j) {
       const ScheduleRound& r = sched_->rounds_[round_base_ + static_cast<std::size_t>(j)];
       require_null_provenance(r);
-      flight_->record(telemetry::FlightKind::round,
-                      static_cast<std::int32_t>(phase_), j);
-      if (publish_point_) {
-        comm_.proc().set_sched_point(static_cast<int>(phase_), j);
-      }
-      if (tr_) {
-        tr_->set_round(j);
-        if (tr_->metrics_on()) tr_->on_round(comm_.state()->ctx);
-      }
+      rec_->on_round(comm_.state()->ctx, static_cast<int>(phase_), j);
       if (r.recvrank != mpl::PROC_NULL && r.recvtype.valid() &&
           r.recvtype.size() > 0) {
         if (scratch_) {
@@ -189,7 +153,7 @@ void Schedule::Execution::post_phase() {
         comm_.isend(mpl::BOTTOM, 1, r.sendtype, r.sendrank, kCartTag);
       }
     }
-    if (tr_) tr_->set_round(-1);
+    rec_->set_round(-1);
     round_base_ += static_cast<std::size_t>(nrounds);
     ++phase_;
   }
@@ -201,41 +165,23 @@ void Schedule::Execution::finish_copies() {
   apply_folds(INT_MAX);
   // Final non-communication phase: local block copies, scoped one past the
   // last communication phase.
-  const bool scope = tr_ && !sched_->copies_.empty();
-  if (scope) begin_phase_scope(sched_->phases());
+  const bool scope = !sched_->copies_.empty();
+  if (scope) begin_phase_scope(sched_->phases(), false);
   for (const ScheduleCopy& c : sched_->copies_) {
-    const double v0 = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-    const double w0 =
-        (tr_ && tr_->tracing()) ? comm_.proc().tracer()->wall_now() : 0.0;
+    const double v0 = model_now(comm_);
+    const double w0 = rec_->wall_start();
     mpl::copy_typed(mpl::BOTTOM, 1, c.src, mpl::BOTTOM, 1, c.dst);
     if (comm_.model_enabled()) comm_.proc().clock().local_copy(c.src.size());
-    if (tr_) {
-      if (tr_->metrics_on()) tr_->on_copy(comm_.state()->ctx, c.src.size());
-      if (tr_->tracing()) {
-        trace::Event e;
-        e.kind = trace::EventKind::copy;
-        e.ctx = comm_.state()->ctx;
-        e.bytes = c.src.size();
-        e.blocks = static_cast<std::uint32_t>(c.src.block_count());
-        e.v_start = v0;
-        e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-        e.w_start = w0;
-        e.w_end = comm_.proc().tracer()->wall_now();
-        e.comp[static_cast<int>(trace::Component::copy)] = e.v_end - v0;
-        tr_->record(std::move(e));
-      }
-    }
+    rec_->on_copy(comm_.state()->ctx, c.src.size(), [&](trace::Event& e) {
+      e.message(-1, -1, comm_.state()->ctx, c.src.size(),
+                static_cast<std::uint32_t>(c.src.block_count()));
+      e.span(v0, model_now(comm_), w0);
+      e.comp[static_cast<int>(trace::Component::copy)] = e.v_end - v0;
+    });
   }
   if (scope) end_phase_scope();
-  if (publish_point_) comm_.proc().set_sched_point(-1, -1);
-  flight_->record(telemetry::FlightKind::sched_end, exec_ordinal_);
-  if (telem_) {
-    const auto dt = std::chrono::steady_clock::now() - t0_;
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
-    telem_->on_collective(ns);
-    if (sched_->op_.valid()) telem_->on_reduce(ns);
-  }
+  rec_->on_sched_end(comm_.state()->ctx, exec_ordinal_, t0_,
+                     sched_->op_.valid());
   done_ = true;
 }
 
@@ -244,16 +190,10 @@ void Schedule::Execution::finish_copies() {
 void Schedule::Execution::drain_pending() {
   ExecutionScratch& s = sc();
   for (std::size_t i = s.head; i < s.pending.size(); ++i) {
-    if (publish_point_) {
-      // phase_ already names the NEXT phase; the pending receives belong
-      // to the one in flight.
-      comm_.proc().set_sched_point(static_cast<int>(phase_) - 1,
-                                   s.pending_round[i]);
-    }
-    if (tr_) tr_->set_round(s.pending_round[i]);
+    rec_->set_round(s.pending_round[i]);
     s.pending[i].wait();
   }
-  if (tr_) tr_->set_round(-1);
+  rec_->set_round(-1);
   s.pending.clear();
   s.pending_round.clear();
   s.head = 0;
@@ -266,9 +206,9 @@ bool Schedule::Execution::test() {
   // virtual-clock accounting stays deterministic). A head cursor marks the
   // completed prefix — no O(n) erase from the front of the table.
   while (s.head < s.pending.size()) {
-    if (tr_) tr_->set_round(s.pending_round[s.head]);
+    rec_->set_round(s.pending_round[s.head]);
     const bool ok = s.pending[s.head].test();
-    if (tr_) tr_->set_round(-1);
+    rec_->set_round(-1);
     if (!ok) return false;
     ++s.head;
   }

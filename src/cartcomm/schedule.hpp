@@ -24,13 +24,8 @@
 #include "mpl/op.hpp"
 #include "mpl/topology.hpp"
 
-namespace telemetry {
-class FlightRecorder;
-class RankTelemetry;
-}
-
 namespace trace {
-class RankTrace;
+class Recorder;
 }
 
 namespace cartcomm {
@@ -231,7 +226,7 @@ class Schedule::Execution {
   void finish_copies();
   void apply_folds(int below);
   void drain_pending();
-  void begin_phase_scope(int phase);
+  void begin_phase_scope(int phase, bool comm_phase);
   void end_phase_scope();
   [[nodiscard]] ExecutionScratch& sc() noexcept {
     return scratch_ ? *scratch_ : own_;
@@ -246,22 +241,13 @@ class Schedule::Execution {
   bool done_ = true;
   std::size_t next_fold_ = 0;  // applied prefix of the fold program
 
-  // Tracing scope (null when neither tracing nor metrics are armed).
-  trace::RankTrace* tr_ = nullptr;
+  // The rank's instrumentation seam and the scope of the phase in flight.
+  trace::Recorder* rec_ = nullptr;
   int cur_phase_ = -1;          // phase currently in flight
   double phase_v0_ = 0.0;       // virtual/wall start of that phase
   double phase_w0_ = 0.0;
-  // Publish phase/round progress to the Proc (fault runs only), so stall
-  // reports can name the schedule point each rank is blocked at.
-  bool publish_point_ = false;
-  // Telemetry (independent of the trace layer): the always-on flight
-  // recorder gets phase/round transition events, and — when telemetry is
-  // armed — the whole execution's wall latency lands in the owning rank's
-  // per-collective histogram on completion.
-  telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::RankTelemetry* telem_ = nullptr;
-  std::int32_t exec_ordinal_ = -1;
-  std::chrono::steady_clock::time_point t0_{};
+  std::int32_t exec_ordinal_ = -1;  // per-rank execution number (flight)
+  std::chrono::steady_clock::time_point t0_{};  // execution start
 };
 
 /// Incremental builder used by the alltoall/allgather schedule algorithms.

@@ -8,7 +8,6 @@
 #include "mpl/comm_state.hpp"
 #include "mpl/error.hpp"
 #include "mpl/proc.hpp"
-#include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
 
 namespace mpl {
@@ -29,12 +28,18 @@ std::uint64_t channel_ctx(std::uint64_t ctx, Comm::Channel ch) {
 // Number of contiguous memory pieces a posted operation touches (for the
 // per-block cost of the network model). Dense types merge across elements
 // into a single block; otherwise each element contributes its own blocks.
-std::size_t message_blocks(const Datatype& type, int count) {
+std::uint32_t message_blocks(const Datatype& type, int count) {
   if (count <= 0 || !type.valid() || type.block_count() == 0) return 1;
   const bool dense = type.block_count() == 1 &&
                      type.extent() == static_cast<std::ptrdiff_t>(type.size());
   if (dense) return 1;
-  return type.block_count() * static_cast<std::size_t>(count);
+  return static_cast<std::uint32_t>(type.block_count() *
+                                    static_cast<std::size_t>(count));
+}
+
+// Virtual time for event stamps: 0 with the model off.
+double model_now(Proc& p) {
+  return p.clock().enabled() ? p.clock().now() : 0.0;
 }
 
 void validate_rank(int rank, int size, const char* what) {
@@ -110,9 +115,9 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   type.pack(buf, count, msg.payload.data());
   msg.from_self = (dest == rank_);
 
-  trace::RankTrace* tr = self.trace();
-  const bool tracing = tr && tr->tracing();
-  const std::size_t blocks = message_blocks(type, count);
+  trace::Recorder& rec = self.recorder();
+  const std::uint32_t blocks = message_blocks(type, count);
+  const std::uint64_t bytes = msg.payload.size();
 
   // Fault injection. Decisions are a pure hash of (seed, rank, per-rank
   // message sequence, attempt), so the drop/delay pattern — and with the
@@ -123,13 +128,12 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   // construction. Self-messages never touch the network and are exempt.
   const FaultPlan* fp = self.faults();
   const bool inject = fp && fp->injecting() && !msg.from_self;
-  int drops = 0;
+  trace::Injected inj;
   double fdelay = 0.0;
   if (inject) {
     const std::uint64_t fseq = self.next_fault_seq();
-    while (fp->drop(rank_, fseq, drops)) {
-      ++drops;
-      if (drops > fp->config().max_retries) {
+    while (fp->drop(rank_, fseq, inj.retries)) {
+      if (++inj.retries > fp->config().max_retries) {
         throw Error("mpl: isend to rank " + std::to_string(dest) +
                     " dropped after " +
                     std::to_string(fp->config().max_retries) +
@@ -137,118 +141,77 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
       }
     }
     fdelay = fp->delay(rank_, fseq);
+    inj.dest = dest;
+    inj.delayed = fdelay > 0.0;
   }
   const double strag =
       (fp && fp->injecting()) ? fp->straggler_overhead(rank_) : 0.0;
 
-  // Production telemetry (independent of the tracer, so the receive fast
-  // path stays enabled): size histogram + counters, plus fault tallies.
-  if (telemetry::RankTelemetry* tm = self.telem()) {
-    tm->on_send(msg.payload.size());
-    if (drops > 0) tm->on_fault_retries(static_cast<std::uint64_t>(drops));
-    if (fdelay > 0.0) tm->on_fault_delay();
-  }
-  // Retransmits are rare enough to be flight-timeline material.
-  if (drops > 0) {
-    self.flight().record(telemetry::FlightKind::retry, drops, dest);
-  }
-
   if (self.clock().enabled()) {
     // Each dropped attempt charges one bounded exponential backoff before
     // the successful attempt departs.
-    for (int attempt = 1; attempt <= drops; ++attempt) {
+    for (int attempt = 1; attempt <= inj.retries; ++attempt) {
       const double vr0 = self.clock().now();
-      const double wr0 = tracing ? self.tracer()->wall_now() : 0.0;
+      const double wr0 = rec.wall_start();
       const double b = fp->backoff(attempt);
       self.clock().charge(b);
-      if (tr && tr->active()) {
-        if (tr->metrics_on()) tr->on_fault_retry(state_->ctx, b);
-        if (tracing) {
-          trace::Event e;
-          e.kind = trace::EventKind::fault_retry;
-          e.peer = dest;
-          e.tag = tag;
-          e.ctx = msg.ctx;
-          e.bytes = msg.payload.size();
-          e.v_start = vr0;
-          e.v_end = self.clock().now();
-          e.w_start = wr0;
-          e.w_end = self.tracer()->wall_now();
-          e.comp[static_cast<int>(trace::Component::fault)] = b;
-          tr->record(std::move(e));
-        }
-      }
+      inj.backoff_v += b;
+      rec.trace(trace::EventKind::fault_retry, [&](trace::Event& e) {
+        e.message(dest, tag, msg.ctx, bytes);
+        e.span(vr0, self.clock().now(), wr0);
+        e.comp[static_cast<int>(trace::Component::fault)] = b;
+      });
     }
-  } else if (drops > 0 || fdelay > 0.0) {
+  } else if (inj.retries > 0 || inj.delayed) {
     // Wall-clock mode: no virtual cost to charge, but perturb the host
-    // scheduling (chaos value under TSan) and still count the injections.
-    if (tr && tr->metrics_on()) {
-      for (int attempt = 1; attempt <= drops; ++attempt) {
-        tr->on_fault_retry(state_->ctx, 0.0);
-      }
-    }
-    for (int attempt = 0; attempt <= drops; ++attempt) {
+    // scheduling (chaos value under TSan); the injections still count.
+    for (int attempt = 0; attempt <= inj.retries; ++attempt) {
       std::this_thread::yield();
     }
   }
 
-  const double w0 = tracing ? self.tracer()->wall_now() : 0.0;
-  const double v0 = self.clock().enabled() ? self.clock().now() : 0.0;
+  const double w0 = rec.wall_start();
+  const double v0 = model_now(self);
   if (self.clock().enabled()) {
     // Straggler ranks pay extra CPU overhead on every post.
     if (strag > 0.0) {
       self.clock().charge(strag);
-      if (tr && tr->metrics_on()) tr->on_fault_straggler(state_->ctx, strag);
+      inj.straggler_v = strag;
     }
-    msg.depart = msg.from_self
-                     ? self.clock().now()
-                     : self.clock().post_send(msg.payload.size(), blocks);
+    msg.depart = msg.from_self ? self.clock().now()
+                               : self.clock().post_send(bytes, blocks);
     // Injected delay jitter is in-network time: it postpones the arrival
     // (receiver-side idle), not the sender's clock or its send port.
-    if (fdelay > 0.0) {
+    if (inj.delayed) {
       msg.depart += fdelay;
-      if (tr && tr->metrics_on()) tr->on_fault_delay(state_->ctx, fdelay);
+      inj.delay_v = fdelay;
     }
-  } else if (fdelay > 0.0 && tr && tr->metrics_on()) {
-    tr->on_fault_delay(state_->ctx, 0.0);
   }
-  if (tr && tr->active()) {
-    if (tr->metrics_on()) {
-      tr->on_send(state_->ctx, msg.payload.size(),
-                  static_cast<std::uint32_t>(blocks), msg.from_self);
-    }
-    if (tracing) {
-      trace::Event e;
-      e.kind = trace::EventKind::send_post;
-      e.peer = dest;
-      e.tag = tag;
-      e.ctx = msg.ctx;
-      e.bytes = msg.payload.size();
-      e.blocks = static_cast<std::uint32_t>(blocks);
-      e.v_start = v0;
-      e.v_end = self.clock().enabled() ? self.clock().now() : 0.0;
-      e.w_start = w0;
-      e.w_end = self.tracer()->wall_now();
-      e.depart = msg.depart;
-      // Mirror post_send() exactly: the posting advance is o + blocks *
-      // o_block (+ packing for non-dense types, + injected straggler
-      // overhead); the wire gap G is port time, attributed at the receiver.
-      if (self.clock().enabled() && !msg.from_self) {
-        const auto& cfg = self.clock().config();
+  if (inj.retries > 0 || inj.delayed || inj.straggler_v > 0.0) {
+    rec.on_faults(state_->ctx, inj);
+  }
+  const auto event = [&](trace::Event& e) {
+    e.message(dest, tag, msg.ctx, bytes, blocks);
+    e.span(v0, model_now(self), w0);
+    e.depart = msg.depart;
+    // Mirror post_send() exactly: the posting advance is o + blocks *
+    // o_block (+ packing for non-dense types, + injected straggler
+    // overhead); the wire gap G is port time, attributed at the receiver.
+    if (self.clock().enabled()) {
+      const auto& cfg = self.clock().config();
+      if (!msg.from_self) {
         e.comp[static_cast<int>(trace::Component::o)] = cfg.o;
         e.comp[static_cast<int>(trace::Component::o_block)] =
             cfg.o_block * static_cast<double>(blocks);
         if (blocks > 1) {
           e.comp[static_cast<int>(trace::Component::G_pack)] =
-              cfg.G_pack * static_cast<double>(msg.payload.size());
+              cfg.G_pack * static_cast<double>(bytes);
         }
       }
-      if (self.clock().enabled()) {
-        e.comp[static_cast<int>(trace::Component::fault)] = strag;
-      }
-      tr->record(std::move(e));
+      e.comp[static_cast<int>(trace::Component::fault)] = strag;
     }
-  }
+  };
+  rec.on_send(state_->ctx, bytes, blocks, msg.from_self, event);
   state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(std::move(msg));
 }
 
@@ -303,12 +266,11 @@ Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,
   st->type = type;
 
   Proc& self = proc();
-  trace::RankTrace* tr = self.trace();
-  const bool tracing = tr && tr->tracing();
-  const double w0 = tracing ? self.tracer()->wall_now() : 0.0;
-  const double v0 = self.clock().enabled() ? self.clock().now() : 0.0;
-  const std::size_t blocks = message_blocks(type, count);
-  st->blocks = static_cast<std::uint32_t>(blocks);
+  trace::Recorder& rec = self.recorder();
+  const double w0 = rec.wall_start();
+  const double v0 = model_now(self);
+  const std::uint32_t blocks = message_blocks(type, count);
+  st->blocks = blocks;
   const FaultPlan* fp = self.faults();
   const double strag =
       (fp && fp->injecting()) ? fp->straggler_overhead(rank_) : 0.0;
@@ -316,24 +278,15 @@ Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,
     if (strag > 0.0) {
       // Straggler ranks pay extra CPU overhead on every post.
       self.clock().charge(strag);
-      if (tr && tr->metrics_on()) tr->on_fault_straggler(state_->ctx, strag);
+      rec.on_faults(state_->ctx, {.straggler_v = strag});
     }
     // Post charges per-block overhead only; the datatype-scatter G_pack is
     // charged at completion, on the actual message size.
     self.clock().post_recv(blocks);
   }
-  if (tracing) {
-    trace::Event e;
-    e.kind = trace::EventKind::recv_post;
-    e.peer = src;
-    e.tag = tag;
-    e.ctx = st->ctx;
-    e.bytes = type.pack_size(count);
-    e.blocks = static_cast<std::uint32_t>(blocks);
-    e.v_start = v0;
-    e.v_end = self.clock().enabled() ? self.clock().now() : 0.0;
-    e.w_start = w0;
-    e.w_end = self.tracer()->wall_now();
+  rec.trace(trace::EventKind::recv_post, [&](trace::Event& e) {
+    e.message(src, tag, st->ctx, type.pack_size(count), blocks);
+    e.span(v0, model_now(self), w0);
     if (self.clock().enabled()) {
       // Mirror post_recv() exactly: o + blocks * o_block (+ injected
       // straggler overhead). The scatter G_pack shows up in the
@@ -344,8 +297,7 @@ Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,
           cfg.o_block * static_cast<double>(blocks);
       e.comp[static_cast<int>(trace::Component::fault)] = strag;
     }
-    tr->record(std::move(e));
-  }
+  });
   self.mailbox().post_recv(st);
   return Request(std::move(st), &self);
 }
@@ -412,23 +364,31 @@ void Comm::send(const void* buf, int count, const Datatype& type, int dest,
 
 Status Comm::recv(void* buf, int count, const Datatype& type, int src,
                   int tag) const {
-  // Fast path: with no virtual clock and no tracing there is nothing to
-  // account, so a blocking receive that finds its message already queued
-  // can consume it directly — no request state, no wait machinery.
+  // Fast path: with no virtual clock there is nothing to account, so a
+  // blocking receive that finds its message already queued can consume it
+  // directly — no request state, no wait machinery. Instrumentation does
+  // not change the path; the receive reports through the seam like any
+  // other.
   MPL_REQUIRE(valid(), "recv on invalid communicator");
   if (src != PROC_NULL) {
     Proc& self = proc();
-    if (!self.clock().enabled() && !self.trace()) {
+    if (!self.clock().enabled()) {
       MPL_REQUIRE(count >= 0, "recv: negative count");
       MPL_REQUIRE(tag >= 0 || tag == ANY_TAG, "recv: invalid tag");
       MPL_REQUIRE(src == ANY_SOURCE || (src >= 0 && src < size()),
                   "recv: source rank out of range");
+      trace::Recorder& rec = self.recorder();
+      const double w0 = rec.wall_start();
+      const std::uint64_t ctx = channel_ctx(state_->ctx, Channel::user);
       Status st;
-      if (self.mailbox().try_recv_now(channel_ctx(state_->ctx, Channel::user),
-                                      src, tag, type, buf, count, &st)) {
-        if (telemetry::RankTelemetry* tm = self.telem()) {
-          tm->on_recv(st.bytes);
-        }
+      double arrive_wall = -1.0;
+      if (self.mailbox().try_recv_now(ctx, src, tag, type, buf, count, &st,
+                                      &arrive_wall)) {
+        rec.on_recv(state_->ctx, st.bytes, 0.0, [&](trace::Event& e) {
+          e.message(st.source, st.tag, ctx, st.bytes);
+          e.w_start = w0;
+          e.arrive_wall = arrive_wall;
+        });
         return st;
       }
     }
@@ -590,41 +550,33 @@ bool Comm::model_enabled() const { return proc().clock().enabled(); }
 // Tracing / metrics
 // ---------------------------------------------------------------------------
 
-bool Comm::trace_active() const {
-  const trace::RankTrace* tr = proc().trace();
-  return tr && tr->tracing();
-}
+bool Comm::trace_active() const { return proc().recorder().tracing(); }
 
 void Comm::set_trace_enabled(bool on) const {
-  if (trace::RankTrace* tr = proc().trace()) tr->set_tracing(on);
+  proc().recorder().set_tracing(on);
 }
 
 int Comm::trace_section_begin(const std::string& label) const {
-  trace::RankTrace* tr = proc().trace();
-  if (!tr) return -1;
-  Proc& self = proc();
-  const double v = self.clock().enabled() ? self.clock().now() : 0.0;
-  return tr->begin_section(label, v, self.tracer()->wall_now());
+  trace::Recorder& rec = proc().recorder();
+  return rec.trace_armed() ? rec.begin_section(label, model_now(proc()))
+                           : -1;
 }
 
 void Comm::trace_section_end() const {
-  trace::RankTrace* tr = proc().trace();
-  if (!tr) return;
-  Proc& self = proc();
-  const double v = self.clock().enabled() ? self.clock().now() : 0.0;
-  tr->end_section(v, self.tracer()->wall_now());
+  trace::Recorder& rec = proc().recorder();
+  if (rec.trace_armed()) rec.end_section(model_now(proc()));
 }
 
 const trace::Counters* Comm::metrics() const {
   MPL_REQUIRE(valid(), "metrics on invalid communicator");
-  trace::RankTrace* tr = proc().trace();
-  if (!tr || !tr->metrics_on()) return nullptr;
-  return &tr->counters(state_->ctx);
+  trace::Recorder& rec = proc().recorder();
+  return rec.counting() ? &rec.comm_counters(state_->ctx) : nullptr;
 }
 
-const telemetry::RankTelemetry* Comm::telemetry() const {
+const trace::Recorder* Comm::telemetry() const {
   MPL_REQUIRE(valid(), "telemetry on invalid communicator");
-  return proc().telem();
+  const trace::Recorder& rec = proc().recorder();
+  return rec.counting() ? &rec : nullptr;
 }
 
 }  // namespace mpl

@@ -15,12 +15,9 @@
 #include "mpl/mailbox.hpp"
 #include "mpl/request.hpp"
 
-namespace telemetry {
-class RankTelemetry;
-}
-
 namespace trace {
 struct Counters;
+class Recorder;
 }
 
 namespace mpl {
@@ -157,14 +154,16 @@ class Comm {
   int trace_section_begin(const std::string& label) const;
   void trace_section_end() const;
 
-  /// This process' metrics for this communicator (all channels aggregated
-  /// under the base context). Null when metrics are not armed.
+  /// This process' live counters for this communicator (all channels
+  /// aggregated under the base context). Null unless metrics or telemetry
+  /// is armed (RunOptions::trace.metrics_path / ::telemetry, MPL_METRICS,
+  /// MPL_TELEMETRY, MPL_OPENMETRICS): both arm the same counters.
   [[nodiscard]] const trace::Counters* metrics() const;
 
-  /// This process' production telemetry block (latency/size histograms and
-  /// counters; run-wide, not per-communicator). Null when telemetry is not
-  /// armed (RunOptions::telemetry / MPL_TELEMETRY / MPL_OPENMETRICS).
-  [[nodiscard]] const telemetry::RankTelemetry* telemetry() const;
+  /// This process' run-wide view of the same counters — totals() over
+  /// every communicator — and its latency/size histograms. Null under the
+  /// same condition as metrics().
+  [[nodiscard]] const trace::Recorder* telemetry() const;
 
   // -- internal access (used by collectives/topology layers) ----------------
 

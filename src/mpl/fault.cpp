@@ -108,10 +108,10 @@ std::string pending_ops_dump(RuntimeState& rt) {
       continue;
     }
     p->mailbox().dump_pending(os);
-    const int phase = p->sched_phase();
+    const int phase = p->recorder().phase();
     if (phase >= 0) {
       os << "; schedule point: phase " << phase;
-      const int round = p->sched_round();
+      const int round = p->recorder().round();
       if (round >= 0) os << " round " << round;
     }
   }
@@ -120,10 +120,10 @@ std::string pending_ops_dump(RuntimeState& rt) {
   // so the timeline covers every rank — including ones that already
   // exited, whose last events often explain why the others are stuck.
   os << "\nflight recorder (best-effort, last "
-     << telemetry::FlightRecorder::kCapacity << " events per rank):";
+     << trace::Recorder::kFlightSlots << " events per rank):";
   for (auto& p : rt.procs) {
     os << "\n  rank " << p->world_rank() << ": ";
-    p->flight().dump(os);
+    p->recorder().dump_flight(os);
   }
   return os.str();
 }

@@ -7,7 +7,6 @@
 
 #include "mpl/error.hpp"
 #include "mpl/runtime_state.hpp"
-#include "trace/trace.hpp"
 
 namespace mpl {
 
@@ -50,7 +49,7 @@ void Mailbox::complete(ReqState& r, Message& m) {
 }
 
 void Mailbox::deliver(Message msg) {
-  if (tracer_) msg.arrive_wall = tracer_->wall_now();
+  if (rec_ && rec_->trace_armed()) msg.arrive_wall = rec_->wall_now();
   activity_.fetch_add(1, std::memory_order_relaxed);
 
   // Phase 1 (locked): match-and-dequeue only. The pairing decision is what
@@ -139,9 +138,9 @@ Status Mailbox::wait_probe(std::uint64_t ctx, int src, int tag) {
       return probe_match(unexpected_, ctx, src, tag, &st) || aborting();
     };
     blocked_.store(true, std::memory_order_relaxed);
-    if (flight_ && !stop()) {
-      flight_->record(telemetry::FlightKind::wait_block,
-                      static_cast<int>(WaitKind::probe), src);
+    if (rec_ && !stop()) {
+      rec_->flight(trace::EventKind::wait_block,
+                   static_cast<int>(WaitKind::probe), src);
     }
     if (!timeout_armed()) {
       cv_.wait(lock, stop);
@@ -195,7 +194,7 @@ void Mailbox::post_recv(const std::shared_ptr<ReqState>& r) {
 
 bool Mailbox::try_recv_now(std::uint64_t ctx, int src, int tag,
                            const Datatype& type, void* base, int count,
-                           Status* st) {
+                           Status* st, double* arrive_wall) {
   const auto envelope_match = [&](const Message& m) {
     return m.ctx == ctx && (src == ANY_SOURCE || src == m.src) &&
            (tag == ANY_TAG || tag == m.tag);
@@ -235,6 +234,7 @@ bool Mailbox::try_recv_now(std::uint64_t ctx, int src, int tag,
   const std::size_t got =
       type.unpack_partial(msg.payload.data(), incoming, base, count);
   if (st) *st = Status{msg.src, msg.tag, got};
+  if (arrive_wall) *arrive_wall = msg.arrive_wall;
   msg.release();
   return true;
 }
@@ -261,10 +261,10 @@ void Mailbox::wait_done(const std::shared_ptr<ReqState>& r) {
     blocked_.store(true, std::memory_order_relaxed);
     // Flight event only when the wait actually parks (the spin above
     // already absorbed the common completes-immediately case).
-    if (flight_ && !stop()) {
-      flight_->record(telemetry::FlightKind::wait_block,
-                      static_cast<int>(WaitKind::request),
-                      r->kind == ReqState::Kind::recv ? r->match_src : -1);
+    if (rec_ && !stop()) {
+      rec_->flight(trace::EventKind::wait_block,
+                   static_cast<int>(WaitKind::request),
+                   r->kind == ReqState::Kind::recv ? r->match_src : -1);
     }
     if (!timeout_armed()) {
       cv_.wait(lock, stop);
@@ -340,7 +340,7 @@ void Mailbox::fail_wait(bool timed_out, const std::string& what) {
   // Diagnostics are assembled with no lock held: pending_ops_dump() takes
   // every mailbox lock in turn (including this one), which the checked
   // same-level lock rule would reject from under mtx_.
-  if (flight_) flight_->record(telemetry::FlightKind::wait_timeout);
+  if (rec_) rec_->flight(trace::EventKind::wait_timeout);
   if (timed_out) {
     throw TimeoutError(
         "mpl: blocking wait timed out after " +

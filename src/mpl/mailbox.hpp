@@ -32,11 +32,7 @@
 #include "mpl/fault.hpp"
 #include "mpl/pool.hpp"
 #include "mpl/request.hpp"
-#include "telemetry/flight.hpp"
-
-namespace trace {
-class Tracer;
-}
+#include "trace/trace.hpp"
 
 namespace mpl {
 
@@ -81,10 +77,6 @@ class Mailbox {
   /// Install the runtime-wide abort flag consulted by blocking waits.
   void set_abort_flag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
-  /// Install the wall-clock source used to stamp message arrivals. Only
-  /// set when event tracing is armed; null keeps delivery stamp-free.
-  void set_tracer(const trace::Tracer* t) { tracer_ = t; }
-
   /// Install the fault plan (wait timeouts, watchdog stall reports). Only
   /// wired when the plan has anything armed; null keeps waits untimed.
   void set_fault_ctx(const FaultPlan* plan, detail::RuntimeState* rt,
@@ -94,11 +86,10 @@ class Mailbox {
     rank_ = rank;
   }
 
-  /// Wire the owning rank's always-on flight recorder (Proc::init, before
-  /// threads start): parked waits and wait timeouts become timeline events.
-  void set_flight(telemetry::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
+  /// Wire the owning rank's instrumentation seam (Proc::init, before
+  /// threads start): parked waits and wait timeouts become flight events,
+  /// and with tracing armed deliveries are stamped with their wall time.
+  void set_recorder(trace::Recorder* rec) noexcept { rec_ = rec; }
 
   /// Monotone count of delivery/progress events, sampled by the watchdog
   /// (a changing value proves the run is not stalled).
@@ -128,16 +119,18 @@ class Mailbox {
   void post_recv(const std::shared_ptr<detail::ReqState>& r)
       MPL_EXCLUDES(mtx_);
 
-  /// Owner-thread fast path for a blocking receive with no model or
-  /// tracing accounting armed: match-and-consume an already queued
-  /// unexpected message without materialising a request. Claims the whole
-  /// shared unexpected queue into the owner-private claimed_ queue in one
-  /// lock acquisition and serves from it lock-free afterwards. Returns
-  /// false when nothing matching is queued (caller falls back to
-  /// post_recv + wait). Throws Error on truncation, like wait() would.
+  /// Owner-thread fast path for a blocking receive with the network model
+  /// off: match-and-consume an already queued unexpected message without
+  /// materialising a request. Claims the whole shared unexpected queue
+  /// into the owner-private claimed_ queue in one lock acquisition and
+  /// serves from it lock-free afterwards. Returns false when nothing
+  /// matching is queued (caller falls back to post_recv + wait). Throws
+  /// Error on truncation, like wait() would. `arrive_wall` receives the
+  /// message's delivery stamp (set only when tracing is armed).
   [[nodiscard]] bool try_recv_now(std::uint64_t ctx, int src, int tag,
                                   const Datatype& type, void* base, int count,
-                                  Status* st) MPL_EXCLUDES(mtx_);
+                                  Status* st, double* arrive_wall)
+      MPL_EXCLUDES(mtx_);
 
   /// Block the owning thread until `r` completes (or the runtime aborts).
   void wait_done(const std::shared_ptr<detail::ReqState>& r)
@@ -167,9 +160,9 @@ class Mailbox {
       auto stop = [&] { return pred() || aborting(); };
       blocked_.store(true, std::memory_order_relaxed);
       // Flight event only when the wait will actually park (cold path).
-      if (flight_ && !stop()) {
-        flight_->record(telemetry::FlightKind::wait_block,
-                        static_cast<int>(WaitKind::any));
+      if (rec_ && !stop()) {
+        rec_->flight(trace::EventKind::wait_block,
+                     static_cast<int>(WaitKind::any));
       }
       if (!timeout_armed()) {
         cv_.wait(lock, stop);
@@ -261,10 +254,9 @@ class Mailbox {
   std::deque<detail::Message> claimed_;
   std::vector<std::shared_ptr<detail::ReqState>> posted_ MPL_GUARDED_BY(mtx_);
   const std::atomic<bool>* abort_flag_ = nullptr;
-  const trace::Tracer* tracer_ = nullptr;
   const FaultPlan* faults_ = nullptr;
   detail::RuntimeState* rt_ = nullptr;
-  telemetry::FlightRecorder* flight_ = nullptr;
+  trace::Recorder* rec_ = nullptr;
   int rank_ = -1;
 
   /// Progress signal for the watchdog: bumped on every delivery and posted

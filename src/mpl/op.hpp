@@ -154,14 +154,17 @@ class ReduceOp {
     return h == 0 ? 1 : h;
   }
 
+  /// `name` + "." + kind letter + element size, e.g. "sum.i4". Appended
+  /// in place: GCC 12's -O3 -Wrestrict misreads concatenated temporaries.
   template <typename T>
-  static std::string type_tag() {
+  static std::string tagged(std::string name) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::string t = std::is_floating_point_v<T> ? "f"
-                    : std::is_integral_v<T>
-                        ? (std::is_signed_v<T> ? "i" : "u")
-                        : "x";
-    return t + std::to_string(sizeof(T));
+    name += '.';
+    name += std::is_floating_point_v<T> ? 'f'
+            : std::is_integral_v<T>     ? (std::is_signed_v<T> ? 'i' : 'u')
+                                        : 'x';
+    name += std::to_string(sizeof(T));
+    return name;
   }
 
   template <typename T, typename F>
@@ -172,7 +175,7 @@ class ReduceOp {
     std::memcpy(st->identity.data(), &identity, sizeof(T));
     st->elem = sizeof(T);
     st->commutative = true;
-    st->name = std::string(base) + "." + type_tag<T>();
+    st->name = tagged<T>(base);
     st->digest = state_digest(*st, /*salt=*/0);
     ReduceOp op;
     op.st_ = std::move(st);
@@ -191,7 +194,7 @@ class ReduceOp {
     }
     st->elem = sizeof(T);
     st->commutative = commutative;
-    st->name = std::move(name) + "." + type_tag<T>();
+    st->name = tagged<T>(std::move(name));
     // Process-unique salt: the fold function itself cannot be hashed, so two
     // user ops must never share a digest (the bound-schedule cache embeds the
     // op).

@@ -36,7 +36,7 @@
 #include "mpl/annotations.hpp"
 #include "mpl/checked.hpp"
 #include "mpl/fault.hpp"
-#include "telemetry/flight.hpp"
+#include "trace/trace.hpp"
 
 namespace mpl::detail {
 
@@ -101,11 +101,9 @@ class BufferPool {
     rank_ = rank;
   }
 
-  /// Wire the owning rank's flight recorder (Proc::init, before threads
-  /// start); freelist misses become `pool_miss` timeline events.
-  void set_flight(telemetry::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
+  /// Wire the owning rank's instrumentation seam (Proc::init, before
+  /// threads start); freelist misses become `pool_miss` flight events.
+  void set_recorder(trace::Recorder* rec) noexcept { rec_ = rec; }
 
   /// Get a buffer with logical size `n` (contents undefined). Never called
   /// with a tracked lock held; the ensure() growth runs outside the pool
@@ -130,8 +128,8 @@ class BufferPool {
       }
     }
     // Flight events only on the cold (miss) path: steady state is all hits.
-    if (miss && flight_) {
-      flight_->record(telemetry::FlightKind::pool_miss, forced ? 1 : 0);
+    if (miss && rec_) {
+      rec_->flight(trace::EventKind::pool_miss, forced ? 1 : 0);
     }
     b.ensure(n);
     return b;
@@ -175,7 +173,7 @@ class BufferPool {
   std::vector<Buffer> free_ MPL_GUARDED_BY(mtx_);
   Stats stats_ MPL_GUARDED_BY(mtx_);
   const mpl::FaultPlan* faults_ = nullptr;  // set before threads start
-  telemetry::FlightRecorder* flight_ = nullptr;  // set before threads start
+  trace::Recorder* rec_ = nullptr;          // set before threads start
   int rank_ = -1;                           // set before threads start
   /// Fault decision sequence number.
   std::uint64_t acquires_ MPL_GUARDED_BY(mtx_) = 0;

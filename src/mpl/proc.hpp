@@ -7,16 +7,7 @@
 #include "mpl/mailbox.hpp"
 #include "mpl/netmodel.hpp"
 #include "mpl/pool.hpp"
-#include "telemetry/flight.hpp"
-
-namespace trace {
-class RankTrace;
-class Tracer;
-}
-
-namespace telemetry {
-class RankTelemetry;
-}
+#include "trace/trace.hpp"
 
 namespace mpl {
 
@@ -38,44 +29,24 @@ class Proc {
   detail::BufferPool& pool() noexcept { return pool_; }
   detail::RuntimeState& runtime() noexcept { return *rt_; }
 
-  /// Per-rank trace/metrics recorder; null when nothing is armed, which is
-  /// the single-branch gate every instrumentation site checks first.
-  [[nodiscard]] trace::RankTrace* trace() const noexcept { return trace_; }
-  /// Run-wide tracer (wall clock source); null when nothing is armed.
-  [[nodiscard]] const trace::Tracer* tracer() const noexcept { return tracer_; }
+  /// This process's instrumentation seam: every transport and executor
+  /// hook goes through it. Its flight ring is always on; counters and
+  /// histograms exist when metrics or telemetry is armed, full trace
+  /// events when tracing is (armed by the runtime before the thread
+  /// starts). The same transport path runs either way.
+  [[nodiscard]] trace::Recorder& recorder() noexcept { return recorder_; }
+  [[nodiscard]] const trace::Recorder& recorder() const noexcept {
+    return recorder_;
+  }
 
   /// Internal: called once by the runtime before the process thread starts.
   void init(int world_rank, int world_size, detail::RuntimeState* rt) {
     world_rank_ = world_rank;
     world_size_ = world_size;
     rt_ = rt;
-    mailbox_.set_flight(&flight_);
-    pool_.set_flight(&flight_);
+    mailbox_.set_recorder(&recorder_);
+    pool_.set_recorder(&recorder_);
   }
-
-  /// Internal: wire the recorder (runtime, before the thread starts).
-  void set_trace(trace::RankTrace* t, const trace::Tracer* tracer) noexcept {
-    trace_ = t;
-    tracer_ = tracer;
-  }
-
-  /// Always-on flight recorder: last-N high-level transport events of
-  /// this rank, dumped into timeout/stall reports (src/telemetry).
-  [[nodiscard]] telemetry::FlightRecorder& flight() noexcept { return flight_; }
-  [[nodiscard]] const telemetry::FlightRecorder& flight() const noexcept {
-    return flight_;
-  }
-
-  /// Per-rank telemetry block (histograms + counters); null unless
-  /// RunOptions::telemetry armed it — the single-branch gate the
-  /// counting sites check first. Independent of trace(): arming
-  /// telemetry must not disable the mailbox fast-path receive.
-  [[nodiscard]] telemetry::RankTelemetry* telem() const noexcept {
-    return telem_;
-  }
-
-  /// Internal: wire the telemetry block (runtime, before threads start).
-  void set_telemetry(telemetry::RankTelemetry* t) noexcept { telem_ = t; }
 
   /// The run's fault plan; null when nothing is armed (the single-branch
   /// gate the transport's injection sites check first).
@@ -89,19 +60,6 @@ class Proc {
   /// decision stream is deterministic under any host interleaving.
   [[nodiscard]] std::uint64_t next_fault_seq() noexcept {
     return fault_seq_++;
-  }
-
-  /// Schedule position published by the executor when faults are armed, so
-  /// stall reports can name the blocked phase/round (-1 = outside).
-  void set_sched_point(int phase, int round) noexcept {
-    sched_phase_.store(phase, std::memory_order_relaxed);
-    sched_round_.store(round, std::memory_order_relaxed);
-  }
-  [[nodiscard]] int sched_phase() const noexcept {
-    return sched_phase_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] int sched_round() const noexcept {
-    return sched_round_.load(std::memory_order_relaxed);
   }
 
   /// The driving thread returned from the user function (set by the
@@ -120,14 +78,9 @@ class Proc {
   NetClock clock_;
   detail::BufferPool pool_;
   detail::RuntimeState* rt_ = nullptr;
-  trace::RankTrace* trace_ = nullptr;
-  const trace::Tracer* tracer_ = nullptr;
   const FaultPlan* faults_ = nullptr;
-  telemetry::FlightRecorder flight_;
-  telemetry::RankTelemetry* telem_ = nullptr;
+  trace::Recorder recorder_;
   std::uint64_t fault_seq_ = 0;
-  std::atomic<int> sched_phase_{-1};
-  std::atomic<int> sched_round_{-1};
   std::atomic<bool> finished_{false};
 };
 

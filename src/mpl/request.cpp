@@ -6,7 +6,6 @@
 #include "mpl/comm_state.hpp"
 #include "mpl/error.hpp"
 #include "mpl/proc.hpp"
-#include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
 
 namespace mpl {
@@ -29,19 +28,11 @@ void account(detail::ReqState& st, Proc& owner) {
   st.model_accounted = true;
   if (st.kind != detail::ReqState::Kind::recv || st.null_recv) return;
 
-  // Owner-side receive telemetry: account() is the one point every
-  // request-based receive passes exactly once (the no-request fast path
-  // counts in Comm::recv directly).
-  if (telemetry::RankTelemetry* tm = owner.telem()) {
-    tm->on_recv(st.status.bytes);
-  }
-
-  trace::RankTrace* tr = owner.trace();
-  const bool active = tr && tr->active();
-  const bool tracing = tr && tr->tracing();
+  trace::Recorder& rec = owner.recorder();
+  const bool active = rec.active();
   NetClock& clk = owner.clock();
 
-  const double w0 = tracing ? owner.tracer()->wall_now() : 0.0;
+  const double w0 = rec.wall_start();
   double v0 = 0.0;
   double advance = 0.0;
   std::array<double, trace::kComponents> comp{};
@@ -80,29 +71,15 @@ void account(detail::ReqState& st, Proc& owner) {
       }
     }
   }
-  if (!active) return;
-
-  const std::uint64_t base_ctx = st.ctx & detail::kCtxBaseMask;
-  if (tr->metrics_on()) {
-    tr->on_recv_complete(base_ctx, st.status.bytes,
-                         comp[static_cast<int>(trace::Component::idle)]);
-  }
-  if (tracing) {
-    trace::Event e;
-    e.kind = trace::EventKind::recv_complete;
-    e.peer = st.status.source;
-    e.tag = st.status.tag;
-    e.ctx = st.ctx;
-    e.bytes = st.status.bytes;
-    e.v_start = v0;
-    e.v_end = v0 + advance;
-    e.w_start = w0;
-    e.w_end = owner.tracer()->wall_now();
+  const auto event = [&](trace::Event& e) {
+    e.message(st.status.source, st.status.tag, st.ctx, st.status.bytes);
+    e.span(v0, v0 + advance, w0);
     e.depart = st.depart;
     e.arrive_wall = st.arrive_wall;
     e.comp = comp;
-    tr->record(std::move(e));
-  }
+  };
+  rec.on_recv(st.ctx & detail::kCtxBaseMask, st.status.bytes,
+              comp[static_cast<int>(trace::Component::idle)], event);
 }
 
 }  // namespace
@@ -110,46 +87,18 @@ void account(detail::ReqState& st, Proc& owner) {
 Status Request::wait() {
   MPL_REQUIRE(valid(), "wait on invalid request");
   if (!state_->done.load(std::memory_order_acquire)) {
-    trace::RankTrace* tr = owner_->trace();
-    telemetry::RankTelemetry* tm = owner_->telem();
-    const bool metrics = tr && tr->metrics_on();
-    if (metrics || tm) {
-      // Wall-clock the park. steady_clock, not the tracer's clock, so the
-      // telemetry wait histogram works with tracing fully disarmed.
-      const auto w0 = std::chrono::steady_clock::now();
-      owner_->mailbox().wait_done(state_);
-      const auto blocked = std::chrono::steady_clock::now() - w0;
-      const double secs =
-          std::chrono::duration<double>(blocked).count();
-      if (tm) {
-        tm->on_wait_block(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(blocked)
-                .count()));
-      }
-      if (metrics) {
-        tr->on_wait_wall(state_->ctx & detail::kCtxBaseMask, secs);
-      }
-      if (tr && tr->tracing()) {
-        // Zero-component marker event: the wait adds no modeled cost (the
-        // virtual clock does not move while parked), but the wall span
-        // makes blocked time visible on the trace timeline.
-        trace::Event e;
-        e.kind = trace::EventKind::wait_block;
-        e.ctx = state_->ctx;
-        e.peer = state_->kind == detail::ReqState::Kind::recv
-                     ? state_->match_src
-                     : -1;
-        const double v =
-            owner_->clock().enabled() ? owner_->clock().now() : 0.0;
-        e.v_start = v;
-        e.v_end = v;
-        e.w_end = owner_->tracer()->wall_now();
-        e.w_start = e.w_end - secs;
-        tr->record(std::move(e));
-      }
-    } else {
-      owner_->mailbox().wait_done(state_);
-    }
+    // The park's wall time is a counted fact (and, when tracing too, a
+    // wait_block marker on the timeline); uncounted, it is not timed.
+    trace::Recorder& rec = owner_->recorder();
+    using Clock = trace::Recorder::Clock;
+    const Clock::time_point t0 =
+        rec.counting() ? Clock::now() : Clock::time_point{};
+    owner_->mailbox().wait_done(state_);
+    rec.on_wait(state_->ctx & detail::kCtxBaseMask, state_->ctx,
+                state_->kind == detail::ReqState::Kind::recv
+                    ? state_->match_src
+                    : -1,
+                owner_->clock().enabled() ? owner_->clock().now() : 0.0, t0);
   }
   // Accounting precedes the error throw: a truncated message still crossed
   // the wire, and the owner's virtual clock must advance past it even

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -17,40 +16,24 @@
 #include "mpl/runtime_state.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 namespace mpl {
 
 namespace {
 thread_local Proc* tls_proc = nullptr;
 
-// Aggregate every rank's telemetry block, pool stats and the process-wide
-// contention totals into one exporter snapshot. Safe to call while rank
-// threads are still running (periodic snapshots): every source is
-// relaxed-atomic or lock-protected, so mid-run reads are torn only across
-// metrics, never within one.
-void gather_metrics(
-    detail::RuntimeState& rt,
-    const std::vector<std::unique_ptr<telemetry::RankTelemetry>>& telems,
-    telemetry::MetricsSnapshot& s) {
+// Sum every rank's counters and histograms, pool stats and the
+// process-wide contention totals into one exporter snapshot. Safe to call
+// while rank threads are still running (periodic snapshots): every source
+// is relaxed-atomic or lock-protected, so mid-run reads are torn only
+// across metrics, never within one.
+void gather_metrics(detail::RuntimeState& rt, telemetry::MetricsSnapshot& s) {
   s.nprocs = static_cast<int>(rt.procs.size());
-  for (const auto& tm : telems) {
-    s.msgs_sent += tm->msgs_sent();
-    s.bytes_sent += tm->bytes_sent();
-    s.msgs_recv += tm->msgs_recv();
-    s.bytes_recv += tm->bytes_recv();
-    s.waits += tm->waits();
-    s.collectives += tm->collectives();
-    s.fault_retries += tm->fault_retries();
-    s.fault_delays += tm->fault_delays();
-    s.reduce_folds += tm->reduce_folds();
-    s.reduce_fold_bytes += tm->reduce_fold_bytes();
-    s.reduces += tm->reduces();
-    s.collective_ns.merge(tm->collective_latency());
-    s.wait_block_ns.merge(tm->wait_block_latency());
-    s.msg_bytes.merge(tm->message_sizes());
-    s.reduce_ns.merge(tm->reduce_latency());
-  }
   for (auto& p : rt.procs) {
+    const trace::Recorder& rec = p->recorder();
+    s.totals.add(rec.totals());
+    s.merge(rec.histograms());
     const detail::BufferPool::Stats ps = p->pool().stats();
     s.pool.hits += ps.hits;
     s.pool.misses += ps.misses;
@@ -67,22 +50,13 @@ void gather_metrics(
 // Write one OpenMetrics snapshot to `path` (`-` = stdout). Returns an
 // error string instead of throwing so the caller decides severity: the
 // final write is fatal, periodic rewrites only warn once.
-std::string write_openmetrics_file(
-    const std::string& path, detail::RuntimeState& rt,
-    const std::vector<std::unique_ptr<telemetry::RankTelemetry>>& telems) {
+std::string write_openmetrics_file(const std::string& path,
+                                   detail::RuntimeState& rt) {
   telemetry::MetricsSnapshot snap;
-  gather_metrics(rt, telems, snap);
-  if (path == "-") {
-    telemetry::write_openmetrics(std::cout, snap);
-    return std::cout ? std::string()
-                     : std::string("mpl: openmetrics: stdout write failed");
-  }
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) return "mpl: openmetrics: cannot open " + path;
-  telemetry::write_openmetrics(os, snap);
-  os.flush();
-  if (!os) return "mpl: openmetrics: write to " + path + " failed";
-  return {};
+  gather_metrics(rt, snap);
+  const std::string err = trace::write_output(
+      path, [&](std::ostream& os) { telemetry::write_openmetrics(os, snap); });
+  return err.empty() ? err : "mpl: openmetrics: " + err;
 }
 
 // Disarm the contention probes on every exit path without resetting the
@@ -122,46 +96,45 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
   fcfg.apply_env();
   rt.faults.configure(fcfg, nprocs);
 
+  // One arming block: the metrics JSON and telemetry count the same facts
+  // in the same per-rank counters, so either arms them; tracing adds the
+  // event ring. With nothing armed the ranks allocate nothing for it.
   trace::TraceConfig tcfg = opts.trace;
   tcfg.apply_env();
-  rt.tracer.configure(tcfg, nprocs);
-
   telemetry::TelemetryConfig mcfg = opts.telemetry;
   mcfg.apply_env();
-  const bool telem_armed = mcfg.armed();
-  std::vector<std::unique_ptr<telemetry::RankTelemetry>> telems;
-  if (telem_armed) {
-    telems.reserve(static_cast<std::size_t>(nprocs));
-    for (int r = 0; r < nprocs; ++r) {
-      telems.push_back(std::make_unique<telemetry::RankTelemetry>(r));
-    }
+  const bool counting = tcfg.metrics_armed() || mcfg.armed();
+  if (mcfg.armed()) {
     telemetry::contention_arm(true);  // resets totals for this run
     telemetry::plan_cache_counters_reset();  // same observation window
   }
   ContentionDisarmGuard contention_guard;
-  std::vector<std::pair<std::string, double>> meta{
-      {"o", opts.net.o},
-      {"L", opts.net.L},
-      {"G", opts.net.G},
-      {"copy", opts.net.copy},
-      {"o_block", opts.net.o_block},
-      {"G_pack", opts.net.G_pack},
-      {"jitter", opts.net.jitter},
-      {"tail_prob", opts.net.tail_prob},
-      {"tail", opts.net.tail}};
-  if (rt.faults.injecting()) {
-    // Faulted runs carry their fault knobs in the trace/metrics metadata so
-    // a replay can be reconstructed from the artifact alone.
-    const FaultConfig& fc = rt.faults.config();
-    meta.emplace_back("fault_seed", static_cast<double>(fc.seed));
-    meta.emplace_back("fault_drop", fc.drop);
-    meta.emplace_back("fault_delay", fc.delay);
-    meta.emplace_back("fault_delay_prob", fc.delay_prob);
-    meta.emplace_back("fault_straggler_frac", fc.straggler_frac);
-    meta.emplace_back("fault_straggler", fc.straggler);
-    meta.emplace_back("fault_pool_miss", fc.pool_miss);
+  if (tcfg.trace_armed() || tcfg.metrics_armed()) {
+    std::vector<std::pair<std::string, double>> meta{
+        {"o", opts.net.o},
+        {"L", opts.net.L},
+        {"G", opts.net.G},
+        {"copy", opts.net.copy},
+        {"o_block", opts.net.o_block},
+        {"G_pack", opts.net.G_pack},
+        {"jitter", opts.net.jitter},
+        {"tail_prob", opts.net.tail_prob},
+        {"tail", opts.net.tail}};
+    if (rt.faults.injecting()) {
+      // Faulted runs carry their fault knobs in the trace/metrics metadata
+      // so a replay can be reconstructed from the artifact alone.
+      const FaultConfig& fc = rt.faults.config();
+      meta.emplace_back("fault_seed", static_cast<double>(fc.seed));
+      meta.emplace_back("fault_drop", fc.drop);
+      meta.emplace_back("fault_delay", fc.delay);
+      meta.emplace_back("fault_delay_prob", fc.delay_prob);
+      meta.emplace_back("fault_straggler_frac", fc.straggler_frac);
+      meta.emplace_back("fault_straggler", fc.straggler);
+      meta.emplace_back("fault_pool_miss", fc.pool_miss);
+    }
+    rt.tracer.configure(tcfg, std::move(meta), opts.net.enabled);
   }
-  rt.tracer.set_model_meta(std::move(meta), opts.net.enabled);
+  const auto wall0 = trace::Recorder::Clock::now();
 
   rt.procs.reserve(static_cast<std::size_t>(nprocs));
   for (int r = 0; r < nprocs; ++r) {
@@ -169,11 +142,8 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
     p->init(r, nprocs, &rt);
     p->clock().configure(opts.net, r);
     p->mailbox().set_abort_flag(&rt.abort);
-    p->set_trace(rt.tracer.rank(r), rt.tracer.armed() ? &rt.tracer : nullptr);
-    if (telem_armed) p->set_telemetry(telems[static_cast<std::size_t>(r)].get());
-    // Arrival stamping costs one wall-clock read per message; only wire it
-    // when event tracing is on.
-    if (rt.tracer.trace_armed()) p->mailbox().set_tracer(&rt.tracer);
+    p->recorder().arm(counting, tcfg.trace_armed(), tcfg.capacity,
+                      tcfg.start_enabled, wall0);
     if (rt.faults.any_armed()) {
       p->set_faults(&rt.faults);
       p->mailbox().set_fault_ctx(&rt.faults, &rt, r);
@@ -246,22 +216,20 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
   // post-join write below is the authoritative one and is fatal on failure.
   std::thread snapshotter;
   std::atomic<bool> snap_stop{false};
-  if (telem_armed && !mcfg.openmetrics_path.empty() && mcfg.period_ms > 0.0 &&
+  if (!mcfg.openmetrics_path.empty() && mcfg.period_ms > 0.0 &&
       mcfg.openmetrics_path != "-") {
-    snapshotter = std::thread([&rt, &telems, &snap_stop, &mcfg] {
+    snapshotter = std::thread([&rt, &snap_stop, &mcfg] {
       const std::chrono::duration<double, std::milli> period(mcfg.period_ms);
       const auto slice = std::chrono::milliseconds(5);
-      bool warned = false;
       auto next = std::chrono::steady_clock::now() + period;
       while (!snap_stop.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(slice);
         if (std::chrono::steady_clock::now() < next) continue;
         next += period;
         const std::string err =
-            write_openmetrics_file(mcfg.openmetrics_path, rt, telems);
-        if (!err.empty() && !warned) {
+            write_openmetrics_file(mcfg.openmetrics_path, rt);
+        if (!err.empty()) {
           std::cerr << err << " (periodic snapshots disabled)\n";
-          warned = true;
           return;
         }
       }
@@ -296,14 +264,17 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
   if (auto first_error = errors.first()) std::rethrow_exception(first_error);
 
   // All process threads joined: the per-rank rings are safe to read.
-  const std::string trace_error = rt.tracer.flush();
-  if (!trace_error.empty()) throw Error(trace_error);
+  if (tcfg.trace_armed() || tcfg.metrics_armed()) {
+    trace::Tracer::Ranks ranks;
+    for (const auto& p : rt.procs) ranks.push_back(&p->recorder());
+    const std::string trace_error = rt.tracer.flush(ranks);
+    if (!trace_error.empty()) throw Error(trace_error);
+  }
 
   // Final (authoritative) OpenMetrics export; all rank threads are joined,
   // so this snapshot is exact, not a mid-run approximation.
-  if (telem_armed && !mcfg.openmetrics_path.empty()) {
-    const std::string err =
-        write_openmetrics_file(mcfg.openmetrics_path, rt, telems);
+  if (!mcfg.openmetrics_path.empty()) {
+    const std::string err = write_openmetrics_file(mcfg.openmetrics_path, rt);
     if (!err.empty()) throw Error(err);
   }
 }

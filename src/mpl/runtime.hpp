@@ -17,20 +17,23 @@ struct RunOptions {
   /// Network cost model; off() means wall-clock mode.
   NetConfig net = NetConfig::off();
   /// Tracing/metrics configuration. Environment variables (MPL_TRACE,
-  /// MPL_METRICS, MPL_TRACE_CAPACITY) override these fields; with neither
-  /// set, tracing is fully disarmed and costs one null-pointer check per
-  /// instrumentation site. Output files are written when run() returns.
+  /// MPL_METRICS, MPL_TRACE_CAPACITY) override these fields. A metrics
+  /// path arms every rank's counters (the same ones telemetry arms), a
+  /// Chrome path the event ring; unarmed, each instrumentation site costs
+  /// a flag check and allocates nothing. Output files are written when
+  /// run() returns.
   trace::TraceConfig trace;
   /// Deterministic fault injection and resilience knobs (drops + retransmit,
   /// delay jitter, stragglers, pool exhaustion, wait timeouts, progress
   /// watchdog). Environment overrides: MPL_FAULTS spec, MPL_TIMEOUT_MS.
   /// Fully disarmed by default at one null-pointer check per site.
   FaultConfig faults;
-  /// Production telemetry: per-rank latency/size histograms, lock-contention
-  /// probes, and the OpenMetrics exporter. Environment overrides:
-  /// MPL_TELEMETRY, MPL_OPENMETRICS, MPL_OPENMETRICS_PERIOD_MS. Disarmed by
-  /// default at one null-pointer (or relaxed-bool) check per site; the
-  /// flight recorder is always on regardless.
+  /// Production telemetry: the per-rank counters and latency/size
+  /// histograms (shared with metrics), lock-contention probes, and the
+  /// OpenMetrics exporter. Environment overrides: MPL_TELEMETRY,
+  /// MPL_OPENMETRICS, MPL_OPENMETRICS_PERIOD_MS. Disarmed by default; the
+  /// flight ring is always on regardless, and no setting here or in
+  /// `trace` changes which transport path runs.
   telemetry::TelemetryConfig telemetry;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <ostream>
+#include <string>
 
 namespace telemetry {
 
@@ -58,29 +59,30 @@ void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap) {
   gauge(os, "mpl_ranks", "Simulated processes in the run.",
         static_cast<double>(snap.nprocs));
 
+  const trace::Counters& t = snap.totals;
   counter(os, "mpl_msgs_sent", "Messages sent across all ranks.",
-          snap.msgs_sent);
+          t.msgs_sent);
   counter(os, "mpl_bytes_sent", "Payload bytes sent across all ranks.",
-          snap.bytes_sent);
+          t.bytes_sent);
   counter(os, "mpl_msgs_recv", "Messages received across all ranks.",
-          snap.msgs_recv);
+          t.msgs_recv);
   counter(os, "mpl_bytes_recv", "Payload bytes received across all ranks.",
-          snap.bytes_recv);
+          t.bytes_recv);
   counter(os, "mpl_waits", "Blocking request waits that actually parked.",
-          snap.waits);
+          t.waits);
   counter(os, "mpl_collectives", "Neighborhood schedule executions.",
-          snap.collectives);
+          t.schedule_executions);
   counter(os, "mpl_fault_retries",
           "Retransmits forced by injected message drops.",
-          snap.fault_retries);
+          t.fault_retries);
   counter(os, "mpl_fault_delays", "Messages given injected delay jitter.",
-          snap.fault_delays);
-  counter(os, "mpl_reduces", "Reducing schedule executions.", snap.reduces);
+          t.fault_delays);
+  counter(os, "mpl_reduces", "Reducing schedule executions.", t.reduces);
   counter(os, "mpl_reduce_folds",
-          "Combine steps applied by reducing schedules.", snap.reduce_folds);
+          "Combine steps applied by reducing schedules.", t.reduce_folds);
   counter(os, "mpl_reduce_fold_bytes",
           "Bytes combined by reducing-schedule fold steps.",
-          snap.reduce_fold_bytes);
+          t.reduce_fold_bytes);
 
   counter(os, "mpl_pool_hits", "Buffer-pool freelist hits.", snap.pool.hits);
   counter(os, "mpl_pool_misses", "Buffer-pool freelist misses (allocations).",
@@ -148,12 +150,6 @@ void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap) {
   histogram(os, "mpl_reduce_latency_seconds",
             "Wall latency of one reducing schedule execution.", snap.reduce_ns,
             1e-9);
-
-  for (const auto& [name, value] : snap.extra_gauges) {
-    const std::string full = "mpl_" + name;
-    os << "# TYPE " << full << " gauge\n";
-    os << full << ' ' << fmt(value) << '\n';
-  }
 
   os << "# EOF\n";
 }

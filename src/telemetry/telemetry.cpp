@@ -1,10 +1,7 @@
 #include "telemetry/telemetry.hpp"
 
 #include <cstdlib>
-#include <ostream>
 #include <string>
-
-#include "telemetry/flight.hpp"
 
 namespace telemetry {
 
@@ -65,49 +62,6 @@ void TelemetryConfig::apply_env() {
     char* end = nullptr;
     const double ms = std::strtod(v, &end);
     if (end != v && ms > 0.0) period_ms = ms;
-  }
-}
-
-// -- flight recorder --------------------------------------------------------
-
-const char* flight_kind_name(FlightKind k) noexcept {
-  switch (k) {
-    case FlightKind::none: return "none";
-    case FlightKind::sched_begin: return "sched_begin";
-    case FlightKind::phase_begin: return "phase_begin";
-    case FlightKind::round: return "round";
-    case FlightKind::sched_end: return "sched_end";
-    case FlightKind::retry: return "retry";
-    case FlightKind::pool_miss: return "pool_miss";
-    case FlightKind::wait_block: return "wait_block";
-    case FlightKind::wait_timeout: return "wait_timeout";
-  }
-  return "?";
-}
-
-void FlightRecorder::dump(std::ostream& os) const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  if (head == 0) {
-    os << "(no events)";
-    return;
-  }
-  if (head > kCapacity) os << "(" << head - kCapacity << " older dropped) ";
-  const std::uint64_t n = head < kCapacity ? head : kCapacity;
-  for (std::uint64_t seq = head - n; seq < head; ++seq) {
-    const Slot& s = ring_[seq % kCapacity];
-    const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    const std::uint64_t t = s.t_us.load(std::memory_order_relaxed);
-    const auto kind = static_cast<FlightKind>(meta >> 56);
-    const auto a =
-        static_cast<std::int64_t>((meta >> 28) & kFieldMask) - 1;
-    const auto b = static_cast<std::int64_t>(meta & kFieldMask) - 1;
-    if (seq != head - n) os << ' ';
-    os << '+' << t << "us " << flight_kind_name(kind);
-    if (a >= 0) {
-      os << '(' << a;
-      if (b >= 0) os << ',' << b;
-      os << ')';
-    }
   }
 }
 

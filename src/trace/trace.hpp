@@ -1,45 +1,44 @@
-// Runtime tracing and metrics layer.
+// The instrumentation seam: one Recorder per rank (simulated process).
 //
-// Always compiled, cheap when disabled: every instrumentation site in the
-// transport and the schedule executor guards on one pointer/flag check, and
-// with tracing unarmed no event is ever allocated and no clock is read.
+// Every instrumentation site of the transport and the schedule executor
+// calls its rank's Recorder once, and the Recorder decides what to keep:
+//   always    a compact slot in the 64-entry flight ring, dumped into
+//             TimeoutError / watchdog stall reports;
+//   counting  (metrics JSON or telemetry armed) one relaxed-atomic counter
+//             per fact, per communicator, plus size/latency histograms;
+//   tracing   (Chrome trace armed) the full Event: the deterministic LogGP
+//             virtual clock and wall time, and a per-component cost
+//             attribution that sums exactly to the virtual-clock advance
+//             the event caused — summed over the slowest rank it rebuilds
+//             the collective's makespan (tools/trace_report).
+// Unarmed, nothing is allocated and no clock is read beyond the flight
+// ring's one read per high-level event. Arming never switches the
+// transport onto another path, and no hook touches the virtual clock.
 //
-// Per rank (simulated process) there is one RankTrace: a lock-free,
-// single-writer event ring buffer (drop-oldest on overflow, with a dropped
-// counter) plus a metrics block. "Lock-free" here is by construction: each
-// ring is written only by the thread that drives its process, and read only
-// after mpl::run() has joined all process threads, so no synchronization is
-// needed on the hot path at all.
-//
-// Every event carries dual timestamps — the deterministic LogGP virtual
-// clock (NetClock) and wall time — and a per-component cost attribution
-// (o / L / G / o_block / G_pack / copy / idle) that sums exactly to the
-// virtual-clock advance the event caused. Summing the components of the
-// slowest rank therefore reproduces the collective's virtual makespan,
-// which is what tools/trace_report exploits for critical-path attribution.
-//
-// The Tracer aggregates the per-rank buffers and serializes them as Chrome
-// trace-event JSON (chrome://tracing / Perfetto loadable; one track per
-// rank, one process group per traced section) and the metrics registry as
-// a JSON document consumable by tools/bench_to_csv.py.
+// The Tracer serializes the ranks' recorders as Chrome trace-event JSON
+// (Perfetto-loadable; one track per rank, one process group per traced
+// section) and as the metrics JSON read by tools/bench_to_csv.py.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "telemetry/histogram.hpp"
+
 namespace trace {
 
-// ---------------------------------------------------------------------------
-// Cost components (the LogGP decomposition of Section 3's model)
-// ---------------------------------------------------------------------------
+// == Cost components (the LogGP decomposition of Section 3's model) ==========
 
 /// Where a slice of virtual time went. Mirrors the NetConfig parameters:
 /// per-message CPU overhead `o`, latency `L`, per-byte wire time `G`,
@@ -62,20 +61,30 @@ inline constexpr int kComponents = 8;
 
 const char* component_name(int c) noexcept;
 
-// ---------------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------------
+// == Events ==================================================================
 
+/// One vocabulary for the trace ring and the flight ring. The first block
+/// are full trace events; the second exists only as flight slots, whose
+/// two small payloads `a`, `b` are noted per kind. wait_block is both.
 enum class EventKind : std::uint8_t {
   send_post,      ///< isend posted: CPU overhead + departure stamp
   recv_post,      ///< irecv posted: CPU overhead
-  recv_complete,  ///< wait/test accounted an arrived message
+  recv_complete,  ///< a receive accounted an arrived message
   copy,           ///< schedule local-copy phase entry
   phase,          ///< one schedule phase: post -> all rounds complete
   section_begin,  ///< start of a named trace section (one collective run)
   section_end,
   fault_retry,    ///< injected drop: one retransmit backoff charge
-  wait_block,     ///< blocking wait parked: wall span, zero modeled cost
+  /// trace: blocking wait parked (wall span, zero modeled cost);
+  /// flight: a = wait kind (Mailbox::WaitKind), b = match src or -1
+  wait_block,
+  sched_begin,    ///< a = schedule execution ordinal
+  phase_begin,    ///< a = phase index
+  round,          ///< a = phase index, b = round index
+  sched_end,      ///< a = schedule execution ordinal
+  retry,          ///< a = retransmits of one message, b = dest rank
+  pool_miss,      ///< a = 1 when the miss was fault-forced
+  wait_timeout,   ///< terminal: the wait that threw TimeoutError
 };
 
 const char* event_kind_name(EventKind k) noexcept;
@@ -98,264 +107,370 @@ struct Event {
   double arrive_wall = -1.0; ///< recv_complete: wall time of mailbox arrival
   std::array<double, kComponents> comp{};  ///< cost attribution (seconds)
   std::string label;  ///< section events only
+
+  void message(int p, int t, std::uint64_t c, std::uint64_t b,
+               std::uint32_t nblocks = 0) {
+    peer = p;
+    tag = t;
+    ctx = c;
+    bytes = b;
+    blocks = nblocks;
+  }
+  void span(double v0, double v1, double w0) {
+    v_start = v0;
+    v_end = v1;
+    w_start = w0;
+  }
 };
 
-// ---------------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------------
+// == The ring (flight slots and trace events alike) ==========================
 
-/// Per-communicator counters. All single-writer (the owning rank's thread).
-struct Counters {
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t msgs_recv = 0;
-  std::uint64_t bytes_recv = 0;
-  /// Messages that went through the datatype engine (blocks > 1) vs dense
-  /// zero-copy messages — the packed/zero-copy split of the paper's model.
-  std::uint64_t packed_msgs = 0;
-  std::uint64_t packed_bytes = 0;
-  std::uint64_t zero_copy_msgs = 0;
-  std::uint64_t zero_copy_bytes = 0;
-  std::uint64_t self_msgs = 0;
-  std::uint64_t self_copies = 0;      ///< schedule local-copy entries
-  std::uint64_t self_copy_bytes = 0;
-  std::uint64_t rounds = 0;           ///< schedule rounds executed
-  std::uint64_t phases = 0;           ///< schedule phases executed
-  std::uint64_t schedule_executions = 0;
-  double wait_stall_v = 0.0;     ///< virtual idle while waiting for arrivals
-  double wait_stall_wall = 0.0;  ///< wall time blocked in wait()
-
-  // Fault-injection counters (FaultPlan; all zero in fault-free runs).
-  std::uint64_t fault_retries = 0;  ///< retransmits after injected drops
-  std::uint64_t fault_delays = 0;   ///< messages given injected extra latency
-  double fault_backoff_v = 0.0;     ///< virtual time spent in backoff
-  double fault_delay_v = 0.0;       ///< injected extra latency (virtual)
-  double fault_straggler_v = 0.0;   ///< injected straggler overhead (virtual)
-
-  /// Stable (name, value) view for serialization; integers promoted.
-  [[nodiscard]] std::vector<std::pair<const char*, double>> named() const;
-};
-
-/// Per-phase traffic of schedule executions (indexed by phase number).
-struct PhaseCounters {
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Per-rank recorder
-// ---------------------------------------------------------------------------
-
-class RankTrace {
+/// Drop-oldest ring written by the owning rank's thread. The head counts
+/// every slot ever claimed and is published with release order. N > 0
+/// keeps N slots inline (no allocation); N == 0 grows storage on demand up
+/// to the capacity given at construction.
+template <class Slot, std::size_t N = 0>
+class Ring {
  public:
-  RankTrace(int rank, std::size_t capacity, bool trace_armed,
-            bool metrics_armed, bool start_enabled)
-      : rank_(rank),
-        capacity_(capacity == 0 ? 1 : capacity),
-        trace_armed_(trace_armed),
-        metrics_armed_(metrics_armed),
-        tracing_(trace_armed && start_enabled) {}
+  explicit Ring(std::size_t capacity = N)
+      : cap_(N ? N : std::max<std::size_t>(capacity, 1)) {}
 
-  [[nodiscard]] int rank() const noexcept { return rank_; }
-
-  // -- hot-path gates --------------------------------------------------------
-
-  [[nodiscard]] bool tracing() const noexcept { return tracing_; }
-  [[nodiscard]] bool metrics_on() const noexcept { return metrics_armed_; }
-  [[nodiscard]] bool active() const noexcept {
-    return tracing_ || metrics_armed_;
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+  /// Slots ever published (>= capacity() means the ring wrapped).
+  [[nodiscard]] std::uint64_t recorded() const noexcept {
+    return head_.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(recorded(), cap_));
   }
 
-  /// Toggle event recording for this rank (no-op when tracing is unarmed).
-  void set_tracing(bool on) noexcept { tracing_ = trace_armed_ && on; }
-
-  void clear_events() {
-    ring_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
-
-  // -- scope (set by the schedule executor) ----------------------------------
-
-  void set_phase(int p) noexcept { phase_ = p; }
-  void set_round(int r) noexcept { round_ = r; }
-  [[nodiscard]] int phase() const noexcept { return phase_; }
-  [[nodiscard]] int round() const noexcept { return round_; }
-  [[nodiscard]] int section() const noexcept { return section_; }
-
-  int begin_section(std::string label, double v_now, double w_now) {
-    section_ = next_section_++;
-    if (tracing_) {
-      Event e;
-      e.kind = EventKind::section_begin;
-      e.v_start = e.v_end = v_now;
-      e.w_start = e.w_end = w_now;
-      e.label = std::move(label);
-      record(std::move(e));
+  /// Owner: the slot of the next sequence number (the oldest one once the
+  /// ring is full). Fill it, then publish().
+  Slot& claim() {
+    const std::uint64_t seq = head_.load(std::memory_order_relaxed);
+    if constexpr (N == 0) {
+      if (slots_.size() < cap_) return slots_.emplace_back();
     }
-    return section_;
+    return slots_[seq % cap_];
+  }
+  void publish() noexcept {
+    head_.store(head_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_release);
   }
 
-  void end_section(double v_now, double w_now) {
-    if (tracing_) {
-      Event e;
-      e.kind = EventKind::section_end;
-      e.v_start = e.v_end = v_now;
-      e.w_start = e.w_end = w_now;
-      record(std::move(e));
+  /// Visit the slots retained below `head` (a recorded() reading), oldest
+  /// first.
+  template <class F>
+  void for_each(std::uint64_t head, F&& f) const {
+    const std::uint64_t n = std::min<std::uint64_t>(head, cap_);
+    for (std::uint64_t seq = head - n; seq < head; ++seq) {
+      f(slots_[seq % cap_]);
     }
-    section_ = -1;  // events between sections are "untraced" scope
-  }
-
-  /// Append an event, stamping the current scope. Drop-oldest on overflow.
-  void record(Event&& e) {
-    if (!tracing_) return;
-    if (e.phase < 0) e.phase = phase_;
-    if (e.round < 0) e.round = round_;
-    e.section = section_;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(e));
-    } else {
-      ring_[head_] = std::move(e);
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    }
-  }
-
-  /// Events in recording order (oldest first). Post-run / test use.
-  [[nodiscard]] std::vector<Event> snapshot() const {
-    std::vector<Event> out;
-    out.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] std::size_t event_count() const noexcept {
-    return ring_.size();
-  }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  // -- metrics ---------------------------------------------------------------
-
-  void on_send(std::uint64_t ctx, std::uint64_t bytes, std::uint32_t blocks,
-               bool self) {
-    Counters& c = comm_counters(ctx);
-    ++c.msgs_sent;
-    c.bytes_sent += bytes;
-    if (blocks > 1) {
-      ++c.packed_msgs;
-      c.packed_bytes += bytes;
-    } else {
-      ++c.zero_copy_msgs;
-      c.zero_copy_bytes += bytes;
-    }
-    if (self) ++c.self_msgs;
-    bump_hist(bytes);
-    if (phase_ >= 0) {
-      phase_slot(phase_).msgs += 1;
-      phase_slot(phase_).bytes += bytes;
-    }
-  }
-
-  void on_recv_complete(std::uint64_t ctx, std::uint64_t bytes,
-                        double stall_v) {
-    Counters& c = comm_counters(ctx);
-    ++c.msgs_recv;
-    c.bytes_recv += bytes;
-    c.wait_stall_v += stall_v;
-  }
-
-  void on_wait_wall(std::uint64_t ctx, double seconds) {
-    comm_counters(ctx).wait_stall_wall += seconds;
-  }
-
-  void on_copy(std::uint64_t ctx, std::uint64_t bytes) {
-    Counters& c = comm_counters(ctx);
-    ++c.self_copies;
-    c.self_copy_bytes += bytes;
-  }
-
-  void on_fault_retry(std::uint64_t ctx, double backoff_v) {
-    Counters& c = comm_counters(ctx);
-    ++c.fault_retries;
-    c.fault_backoff_v += backoff_v;
-  }
-
-  void on_fault_delay(std::uint64_t ctx, double delay_v) {
-    Counters& c = comm_counters(ctx);
-    ++c.fault_delays;
-    c.fault_delay_v += delay_v;
-  }
-
-  void on_fault_straggler(std::uint64_t ctx, double overhead_v) {
-    comm_counters(ctx).fault_straggler_v += overhead_v;
-  }
-
-  void on_round(std::uint64_t ctx) { ++comm_counters(ctx).rounds; }
-  void on_phase(std::uint64_t ctx) { ++comm_counters(ctx).phases; }
-  void on_schedule_execution(std::uint64_t ctx) {
-    ++comm_counters(ctx).schedule_executions;
-  }
-
-  /// This rank's counters for one communicator context (never null; zeroes
-  /// when nothing was recorded yet).
-  [[nodiscard]] const Counters& counters(std::uint64_t ctx) {
-    return comm_counters(ctx);
-  }
-  [[nodiscard]] const std::unordered_map<std::uint64_t, Counters>& by_comm()
-      const noexcept {
-    return by_comm_;
-  }
-  /// Aggregate over all communicators.
-  [[nodiscard]] Counters totals() const;
-  [[nodiscard]] const std::array<std::uint64_t, 64>& msg_size_hist()
-      const noexcept {
-    return hist_;
-  }
-  [[nodiscard]] const std::vector<PhaseCounters>& per_phase() const noexcept {
-    return per_phase_;
   }
 
  private:
-  Counters& comm_counters(std::uint64_t ctx) { return by_comm_[ctx]; }
-
-  PhaseCounters& phase_slot(int phase) {
-    const auto i = static_cast<std::size_t>(phase);
-    if (per_phase_.size() <= i) per_phase_.resize(i + 1);
-    return per_phase_[i];
-  }
-
-  void bump_hist(std::uint64_t bytes) {
-    int b = 0;
-    while ((1ULL << b) < bytes && b < 63) ++b;
-    ++hist_[static_cast<std::size_t>(b)];
-  }
-
-  int rank_;
-  std::size_t capacity_;
-  bool trace_armed_;
-  bool metrics_armed_;
-  bool tracing_;
-  int phase_ = -1;
-  int round_ = -1;
-  int section_ = -1;
-  int next_section_ = 0;
-
-  std::vector<Event> ring_;
-  std::size_t head_ = 0;  // oldest element once the ring wrapped
-  std::uint64_t dropped_ = 0;
-
-  std::unordered_map<std::uint64_t, Counters> by_comm_;
-  std::array<std::uint64_t, 64> hist_{};
-  std::vector<PhaseCounters> per_phase_;
+  std::conditional_t<N == 0, std::vector<Slot>, std::array<Slot, N>> slots_{};
+  std::size_t cap_;
+  std::atomic<std::uint64_t> head_{0};
 };
 
-// ---------------------------------------------------------------------------
-// Run-wide configuration and aggregation
-// ---------------------------------------------------------------------------
+// == Counters ================================================================
+
+/// A counter written only by the owning rank's thread (load + store, no
+/// read-modify-write) and readable tear-free from any thread, e.g. the
+/// periodic OpenMetrics snapshot. Copies snapshot the value.
+template <class T>
+class Relaxed {
+ public:
+  Relaxed() = default;
+  explicit Relaxed(T v) noexcept : v_(v) {}
+  Relaxed(const Relaxed& o) noexcept : v_(static_cast<T>(o)) {}
+  Relaxed& operator=(const Relaxed& o) noexcept { return *this = T(o); }
+  Relaxed& operator=(T v) noexcept {
+    v_.store(v, std::memory_order_relaxed);
+    return *this;
+  }
+  operator T() const noexcept { return v_.load(std::memory_order_relaxed); }
+  Relaxed& operator+=(T d) noexcept { return *this = T(*this) + d; }
+  Relaxed& operator++() noexcept { return *this += T{1}; }
+
+ private:
+  std::atomic<T> v_{};
+};
+
+// X(type, name, in_metrics_json); the metrics JSON prints the flagged
+// fields in this order. packed_* / zero_copy_* split messages by whether
+// they went through the datatype engine (blocks > 1); self_copies are
+// schedule local copies; wait_stall_v is virtual idle waiting for
+// arrivals, wait_stall_wall wall time parked in blocking waits; fault_*
+// are FaultPlan injections. The unflagged rest feed OpenMetrics only.
+#define TRACE_COUNTERS(X)                        \
+  X(std::uint64_t, msgs_sent, true)              \
+  X(std::uint64_t, bytes_sent, true)             \
+  X(std::uint64_t, msgs_recv, true)              \
+  X(std::uint64_t, bytes_recv, true)             \
+  X(std::uint64_t, packed_msgs, true)            \
+  X(std::uint64_t, packed_bytes, true)           \
+  X(std::uint64_t, zero_copy_msgs, true)         \
+  X(std::uint64_t, zero_copy_bytes, true)        \
+  X(std::uint64_t, self_msgs, true)              \
+  X(std::uint64_t, self_copies, true)            \
+  X(std::uint64_t, self_copy_bytes, true)        \
+  X(std::uint64_t, rounds, true)                 \
+  X(std::uint64_t, phases, true)                 \
+  X(std::uint64_t, schedule_executions, true)    \
+  X(double, wait_stall_v, true)                  \
+  X(double, wait_stall_wall, true)               \
+  X(std::uint64_t, fault_retries, true)          \
+  X(std::uint64_t, fault_delays, true)           \
+  X(double, fault_backoff_v, true)               \
+  X(double, fault_delay_v, true)                 \
+  X(double, fault_straggler_v, true)             \
+  X(std::uint64_t, waits, false)                 \
+  X(std::uint64_t, reduce_folds, false)          \
+  X(std::uint64_t, reduce_fold_bytes, false)     \
+  X(std::uint64_t, reduces, false)
+
+/// One counter per fact, for one communicator (all channels aggregated
+/// under the base context) or summed over a rank's communicators.
+struct Counters {
+#define TRACE_FIELD(T, name, json) Relaxed<T> name;
+  TRACE_COUNTERS(TRACE_FIELD)
+#undef TRACE_FIELD
+
+  void add(const Counters& o) noexcept;
+};
+
+/// The latency and size distributions of a rank (log-linear buckets).
+struct Histograms {
+  telemetry::Histogram collective_ns;  ///< schedule execution wall latency
+  telemetry::Histogram wait_block_ns;  ///< time a blocking wait parked
+  telemetry::Histogram msg_bytes;      ///< payload size of sent messages
+  telemetry::Histogram reduce_ns;      ///< reducing execution wall latency
+
+  void merge(const Histograms& o) noexcept {
+    collective_ns.merge(o.collective_ns);
+    wait_block_ns.merge(o.wait_block_ns);
+    msg_bytes.merge(o.msg_bytes);
+    reduce_ns.merge(o.reduce_ns);
+  }
+};
+
+/// Fault-injection outcome of one post; all zero in fault-free runs.
+struct Injected {
+  int retries = 0;           ///< retransmits after injected drops
+  int dest = -1;             ///< their destination
+  double backoff_v = 0.0;    ///< virtual backoff charged for them
+  bool delayed = false;      ///< the message got injected extra latency
+  double delay_v = 0.0;      ///< of this much virtual time
+  double straggler_v = 0.0;  ///< straggler overhead charged to the post
+};
+
+// == The per-rank seam =======================================================
+
+class Recorder {
+ public:
+  using Clock = std::chrono::steady_clock;
+  static constexpr std::size_t kFlightSlots = 64;
+
+  Recorder();
+  ~Recorder();
+
+  /// Arm for one run (the runtime, before the rank's thread starts):
+  /// `counting` allocates the counters and histograms, `trace` the event
+  /// ring of `capacity` events; `base` is the run's wall-clock zero.
+  void arm(bool counting, bool trace, std::size_t capacity,
+           bool start_tracing, Clock::time_point base = Clock::now());
+
+  // -- gates ------------------------------------------------------------------
+
+  [[nodiscard]] bool counting() const noexcept { return tally_ != nullptr; }
+  [[nodiscard]] bool trace_armed() const noexcept { return log_ != nullptr; }
+  /// Whether full events are recorded right now (owner thread).
+  [[nodiscard]] bool tracing() const noexcept { return tracing_; }
+  [[nodiscard]] bool active() const noexcept {
+    return tracing_ || counting();
+  }
+  /// Toggle event recording (no-op when tracing is unarmed).
+  void set_tracing(bool on) noexcept { tracing_ = trace_armed() && on; }
+
+  /// Seconds since the run's wall-clock zero.
+  [[nodiscard]] double wall_now() const noexcept {
+    return std::chrono::duration<double>(Clock::now() - base_).count();
+  }
+  /// Wall start of an interval that may become a trace event; 0 without a
+  /// clock read unless tracing.
+  [[nodiscard]] double wall_start() const noexcept {
+    return tracing_ ? wall_now() : 0.0;
+  }
+
+  // -- scope ------------------------------------------------------------------
+
+  /// Schedule phase/round in flight (-1 outside), kept by the executor.
+  /// Readable from any thread: stall reports name the point each rank is
+  /// blocked at.
+  [[nodiscard]] int phase() const noexcept { return phase_; }
+  [[nodiscard]] int round() const noexcept { return round_; }
+  [[nodiscard]] int section() const noexcept { return section_; }
+  /// Round scope of the receive being completed (executor).
+  void set_round(int r) noexcept { round_ = r; }
+
+  int begin_section(std::string label, double v_now);
+  void end_section(double v_now);
+
+  // -- recording --------------------------------------------------------------
+
+  /// A slot of the always-on flight ring: the last kFlightSlots
+  /// high-level events, one clock read plus relaxed stores each, no
+  /// allocation. a/b are small payloads (clamped to 28 bits; -1 = none,
+  /// elided from the dump). Returns the clock reading it stamped. Called
+  /// alone on cold paths (parked waits, timeouts, pool misses).
+  Clock::time_point flight(EventKind k, std::int32_t a = -1,
+                           std::int32_t b = -1) noexcept {
+    const Clock::time_point now = Clock::now();
+    const auto us =
+        std::chrono::duration_cast<std::chrono::microseconds>(now - base_);
+    FlightSlot& s = flight_.claim();
+    s.t_us.store(static_cast<std::uint64_t>(us.count()),
+                 std::memory_order_relaxed);
+    s.meta.store(pack(k, a, b), std::memory_order_relaxed);
+    flight_.publish();
+    return now;
+  }
+  [[nodiscard]] std::uint64_t flight_recorded() const noexcept {
+    return flight_.recorded();
+  }
+  /// The flight timeline as one line: `+12us phase_begin(0) +15us ...`.
+  /// Any thread may call it while the owner writes: a slot caught
+  /// mid-overwrite prints garbage for that one event (the stall report
+  /// says best-effort), each word tear-free.
+  void dump_flight(std::ostream& os) const;
+
+  /// A full trace event when tracing: `fill` describes it (w_end is
+  /// pre-stamped now; scope fields left at -1 take the current scope).
+  template <class Fill>
+  void trace(EventKind k, Fill&& fill) {
+    if (!tracing_) return;
+    Event& e = log_->claim();
+    e = Event{};
+    e.kind = k;
+    e.w_end = wall_now();
+    fill(e);
+    if (e.phase < 0) e.phase = phase_;
+    if (e.round < 0) e.round = round_;
+    e.section = section_;
+    log_->publish();
+  }
+  /// Append a finished event (stamping the scope), when tracing.
+  void record(Event&& e) {
+    trace(e.kind, [&](Event& slot) { slot = std::move(e); });
+  }
+
+  // -- hooks: one call per instrumentation site -------------------------------
+
+  /// isend posted (Comm::isend_core). `ctx` is the base context.
+  template <class Fill>
+  void on_send(std::uint64_t ctx, std::uint64_t bytes, std::uint32_t blocks,
+               bool self, Fill&& fill) {
+    if (tally_) count_send(ctx, bytes, blocks, self);
+    trace(EventKind::send_post, fill);
+  }
+
+  /// A receive completed: request accounting or the blocking fast path.
+  template <class Fill>
+  void on_recv(std::uint64_t ctx, std::uint64_t bytes, double idle_v,
+               Fill&& fill) {
+    if (tally_) count_recv(ctx, bytes, idle_v);
+    trace(EventKind::recv_complete, fill);
+  }
+
+  /// A blocking request wait that parked since `t0` (read only when
+  /// counting: an uncounted wait is not timed).
+  void on_wait(std::uint64_t ctx, std::uint64_t full_ctx, int peer,
+               double v_now, Clock::time_point t0);
+
+  /// Injected faults of one post (cold: only when some fault hit it).
+  void on_faults(std::uint64_t ctx, const Injected& f);
+
+  /// Schedule executor: begin (returns the start stamp of its latency),
+  /// phase scope, round, local copy, fold step, end.
+  Clock::time_point on_sched_begin(std::uint64_t ctx, std::int32_t ordinal);
+  /// Enter phase `p` (`comm` = a communication phase, not the final copy
+  /// phase). Returns the phase's wall start when tracing.
+  double on_phase_begin(std::uint64_t ctx, int p, bool comm);
+  void on_round(std::uint64_t ctx, int p, int r);
+  void on_phase_end(std::uint64_t ctx, int p, double v0, double w0,
+                    double v_now);
+  template <class Fill>
+  void on_copy(std::uint64_t ctx, std::uint64_t bytes, Fill&& fill) {
+    if (tally_) count_copy(ctx, bytes);
+    trace(EventKind::copy, fill);
+  }
+  void on_fold(std::uint64_t ctx, std::uint64_t bytes);
+  void on_sched_end(std::uint64_t ctx, std::int32_t ordinal,
+                    Clock::time_point t0, bool reducing);
+
+  // -- reading ----------------------------------------------------------------
+
+  /// This rank's live counters for one communicator (owner thread;
+  /// counting armed).
+  Counters& comm_counters(std::uint64_t ctx);
+  /// Sum over every communicator; any thread, relaxed snapshot.
+  [[nodiscard]] Counters totals() const;
+  /// Counting armed only; any thread.
+  [[nodiscard]] const Histograms& histograms() const noexcept;
+
+  /// Trace events in recording order (oldest first); post-run / test use.
+  [[nodiscard]] std::vector<Event> snapshot() const;
+  [[nodiscard]] std::size_t event_count() const noexcept {
+    return log_ ? log_->size() : 0;
+  }
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return log_ ? log_->recorded() - log_->size() : 0;
+  }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return log_ ? log_->capacity() : 0;
+  }
+
+  /// This rank's entry of the metrics JSON (after the run; counting
+  /// armed).
+  void write_metrics(std::ostream& os, int rank) const;
+
+ private:
+  struct Tally;
+  struct FlightSlot {
+    std::atomic<std::uint64_t> meta{0};
+    std::atomic<std::uint64_t> t_us{0};
+  };
+  static constexpr std::uint64_t kFieldMask = (std::uint64_t{1} << 28) - 1;
+
+  static std::uint64_t pack(EventKind k, std::int32_t a,
+                            std::int32_t b) noexcept {
+    const auto enc = [](std::int32_t v) -> std::uint64_t {
+      // Biased by one so -1 encodes as 0; clamp keeps large ints in field.
+      const auto u = static_cast<std::uint64_t>(std::max(v, -1) + 1);
+      return std::min(u, kFieldMask);
+    };
+    return (static_cast<std::uint64_t>(k) << 56) | (enc(a) << 28) | enc(b);
+  }
+
+  void count_send(std::uint64_t ctx, std::uint64_t bytes,
+                  std::uint32_t blocks, bool self);
+  void count_recv(std::uint64_t ctx, std::uint64_t bytes, double idle_v);
+  void count_copy(std::uint64_t ctx, std::uint64_t bytes);
+
+  Ring<FlightSlot, kFlightSlots> flight_;
+  Clock::time_point base_ = Clock::now();
+  std::unique_ptr<Tally> tally_;
+  std::unique_ptr<Ring<Event>> log_;
+  bool tracing_ = false;
+  Relaxed<int> phase_{-1};
+  Relaxed<int> round_{-1};
+  int section_ = -1;
+  int next_section_ = 0;
+};
+
+// == Run-wide configuration and output =======================================
 
 struct TraceConfig {
   /// Chrome trace-event JSON output path; non-empty arms event tracing.
@@ -365,7 +480,7 @@ struct TraceConfig {
   /// Ring capacity in events per rank (drop-oldest beyond this).
   std::size_t capacity = 1 << 16;
   /// Whether ranks record from the start; when false, nothing is recorded
-  /// until a rank calls Comm::trace_enabled(true) (bench section mode).
+  /// until a rank calls Comm::set_trace_enabled(true) (bench section mode).
   bool start_enabled = true;
 
   /// Environment overrides: MPL_TRACE (chrome path), MPL_METRICS (metrics
@@ -382,53 +497,36 @@ struct TraceConfig {
 
 class Tracer {
  public:
-  /// Arm (or disarm) for a run of `nprocs` ranks; starts the wall clock.
-  void configure(const TraceConfig& cfg, int nprocs);
+  using Ranks = std::vector<const Recorder*>;
 
-  [[nodiscard]] bool trace_armed() const noexcept { return trace_armed_; }
-  [[nodiscard]] bool metrics_armed() const noexcept { return metrics_armed_; }
-  [[nodiscard]] bool armed() const noexcept {
-    return trace_armed_ || metrics_armed_;
-  }
-  [[nodiscard]] int nprocs() const noexcept {
-    return static_cast<int>(ranks_.size());
-  }
-
-  /// The per-rank recorder; null when nothing is armed.
-  [[nodiscard]] RankTrace* rank(int r) noexcept {
-    return armed() ? ranks_[static_cast<std::size_t>(r)].get() : nullptr;
-  }
-
-  /// Seconds since configure() on a monotonic wall clock.
-  [[nodiscard]] double wall_now() const noexcept {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - wall_base_)
-        .count();
-  }
-
-  /// Model metadata embedded in both JSON documents (o, L, G, ... and an
-  /// "enabled" flag deciding whether chrome timestamps use virtual time).
-  void set_model_meta(std::vector<std::pair<std::string, double>> meta,
-                      bool model_enabled) {
+  /// The run's outputs, and the model metadata embedded in both JSON
+  /// documents (o, L, G, ...); `model_enabled` makes Chrome timestamps
+  /// virtual time.
+  void configure(const TraceConfig& cfg,
+                 std::vector<std::pair<std::string, double>> meta,
+                 bool model_enabled) {
+    cfg_ = cfg;
     model_meta_ = std::move(meta);
     model_enabled_ = model_enabled;
   }
 
-  void write_chrome_json(std::ostream& os) const;
-  void write_metrics_json(std::ostream& os) const;
+  void write_chrome_json(std::ostream& os, const Ranks& ranks) const;
+  void write_metrics_json(std::ostream& os, const Ranks& ranks) const;
 
   /// Write the configured output files. Returns an error message ("" = ok).
-  std::string flush() const;
+  std::string flush(const Ranks& ranks) const;
 
  private:
+  void put_meta(std::ostream& os) const;  // model_meta_ as a JSON object
+
   TraceConfig cfg_;
-  bool trace_armed_ = false;
-  bool metrics_armed_ = false;
   bool model_enabled_ = false;
-  std::vector<std::unique_ptr<RankTrace>> ranks_;
   std::vector<std::pair<std::string, double>> model_meta_;
-  std::chrono::steady_clock::time_point wall_base_ =
-      std::chrono::steady_clock::now();
 };
+
+/// Write `body` to `path` ("-" = stdout). Returns "" or an error message
+/// naming the path.
+std::string write_output(const std::string& path,
+                         const std::function<void(std::ostream&)>& body);
 
 }  // namespace trace

@@ -421,26 +421,26 @@ TEST(CartReduce, CombiningVolumeMatchesTreeAndBeatsTrivial) {
         const std::size_t r = static_cast<std::size_t>(world.rank());
         std::vector<int> mine(m, world.rank() + 1);
         std::vector<int> out(m, -1);
-        const telemetry::RankTelemetry* tm = world.telemetry();
+        const trace::Recorder* tm = world.telemetry();
         ASSERT_NE(tm, nullptr);
-        const std::uint64_t b0 = tm->bytes_sent();
+        const std::uint64_t b0 = tm->totals().bytes_sent;
         cartcomm::cart_reduce(mine.data(), out.data(), m, mpl::op::plus{}, cc,
                               cartcomm::Algorithm::combining);
-        const std::uint64_t b1 = tm->bytes_sent();
+        const std::uint64_t b1 = tm->totals().bytes_sent;
         cartcomm::cart_reduce(mine.data(), out.data(), m, mpl::op::plus{}, cc,
                               cartcomm::Algorithm::trivial);
-        const std::uint64_t b2 = tm->bytes_sent();
+        const std::uint64_t b2 = tm->totals().bytes_sent;
         const int t = nb.count();
         std::vector<int> ag(static_cast<std::size_t>(t) * m, 0);
         cartcomm::allgather(mine.data(), m, mpl::Datatype::of<int>(), ag.data(),
                             m, mpl::Datatype::of<int>(), cc,
                             cartcomm::Algorithm::combining);
-        const std::uint64_t b3 = tm->bytes_sent();
+        const std::uint64_t b3 = tm->totals().bytes_sent;
         reduce_b[r] = b1 - b0;
         trivial_b[r] = b2 - b1;
         allgather_b[r] = b3 - b2;
-        folds[r] = tm->reduce_folds();
-        reduces[r] = tm->reduces();
+        folds[r] = tm->totals().reduce_folds;
+        reduces[r] = tm->totals().reduces;
       },
       opts);
   for (int r = 0; r < 9; ++r) {

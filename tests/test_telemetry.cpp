@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,13 +19,14 @@
 #include "cart_test_util.hpp"
 #include "mpl/checked.hpp"
 #include "telemetry/contention.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/json.hpp"
+#include "trace/trace.hpp"
 
-using telemetry::FlightKind;
-using telemetry::FlightRecorder;
+using trace::EventKind;
+using trace::Recorder;
 using telemetry::Histogram;
 
 namespace {
@@ -87,7 +89,9 @@ TEST(TelemetryHistogram, BucketBoundaries) {
     const std::size_t i = Histogram::bucket_index(v);
     ASSERT_LT(i, Histogram::kBuckets) << v;
     EXPECT_LE(v, Histogram::bucket_upper(i)) << v;
-    if (i > 0) EXPECT_GT(v, Histogram::bucket_upper(i - 1)) << v;
+    if (i > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper(i - 1)) << v;
+    }
   }
   for (std::size_t i = 1; i < Histogram::kBuckets; ++i) {
     EXPECT_GT(Histogram::bucket_upper(i), Histogram::bucket_upper(i - 1));
@@ -286,13 +290,13 @@ TEST_F(TelemetryRun, MailboxWorkloadRecordsContention) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryFlight, RingWrapsKeepingNewestEvents) {
-  FlightRecorder fr;
+  Recorder fr;
   for (int i = 0; i < 100; ++i) {
-    fr.record(FlightKind::round, 0, i);
+    fr.flight(EventKind::round, 0, i);
   }
-  EXPECT_EQ(fr.recorded(), 100u);
+  EXPECT_EQ(fr.flight_recorded(), 100u);
   std::ostringstream os;
-  fr.dump(os);
+  fr.dump_flight(os);
   const std::string d = os.str();
   EXPECT_NE(d.find("(36 older dropped)"), std::string::npos) << d;
   EXPECT_NE(d.find("round(0,99)"), std::string::npos) << d;
@@ -301,17 +305,17 @@ TEST(TelemetryFlight, RingWrapsKeepingNewestEvents) {
 }
 
 TEST(TelemetryFlight, DumpElidesAbsentPayloadsAndNamesKinds) {
-  FlightRecorder fr;
+  Recorder fr;
   std::ostringstream empty;
-  fr.dump(empty);
+  fr.dump_flight(empty);
   EXPECT_EQ(empty.str(), "(no events)");
 
-  fr.record(FlightKind::pool_miss);          // no payload
-  fr.record(FlightKind::retry, 2, 1);        // both payloads
-  fr.record(FlightKind::wait_block, 1);      // one payload
-  fr.record(FlightKind::wait_timeout);
+  fr.flight(EventKind::pool_miss);          // no payload
+  fr.flight(EventKind::retry, 2, 1);        // both payloads
+  fr.flight(EventKind::wait_block, 1);      // one payload
+  fr.flight(EventKind::wait_timeout);
   std::ostringstream os;
-  fr.dump(os);
+  fr.dump_flight(os);
   const std::string d = os.str();
   EXPECT_NE(d.find("pool_miss "), std::string::npos) << d;
   EXPECT_EQ(d.find("pool_miss("), std::string::npos) << d;
@@ -383,7 +387,7 @@ TEST_F(TelemetryStall, TimeoutErrorCarriesFlightTimeline) {
 }
 
 // ---------------------------------------------------------------------------
-// RankTelemetry counters via Comm::telemetry()
+// Rank-wide counters via Comm::telemetry()
 // ---------------------------------------------------------------------------
 
 TEST_F(TelemetryRun, TelemetryNullWhenNotArmed) {
@@ -396,26 +400,26 @@ TEST_F(TelemetryRun, CountersTrackTrafficAndWaits) {
   mpl::RunOptions opts;
   opts.telemetry.enabled = true;
   mpl::run(2, [](mpl::Comm& world) {
-    const telemetry::RankTelemetry* tm = world.telemetry();
+    const trace::Recorder* tm = world.telemetry();
     ASSERT_NE(tm, nullptr);
     std::vector<int> buf(16, world.rank());
     if (world.rank() == 0) {
       // Park the receiver for a measurable while before sending.
       std::this_thread::sleep_for(std::chrono::milliseconds(40));
       for (int i = 0; i < 5; ++i) world.send(buf.data(), 16, kInt, 1, 3);
-      EXPECT_EQ(tm->msgs_sent(), 5u);
-      EXPECT_EQ(tm->bytes_sent(), 5u * 16u * sizeof(int));
-      EXPECT_EQ(tm->message_sizes().count(), 5u);
-      EXPECT_EQ(tm->message_sizes().max(), 16u * sizeof(int));
+      EXPECT_EQ(tm->totals().msgs_sent, 5u);
+      EXPECT_EQ(tm->totals().bytes_sent, 5u * 16u * sizeof(int));
+      EXPECT_EQ(tm->histograms().msg_bytes.count(), 5u);
+      EXPECT_EQ(tm->histograms().msg_bytes.max(), 16u * sizeof(int));
     } else {
       for (int i = 0; i < 5; ++i) world.recv(buf.data(), 16, kInt, 0, 3);
-      EXPECT_EQ(tm->msgs_recv(), 5u);
-      EXPECT_EQ(tm->bytes_recv(), 5u * 16u * sizeof(int));
+      EXPECT_EQ(tm->totals().msgs_recv, 5u);
+      EXPECT_EQ(tm->totals().bytes_recv, 5u * 16u * sizeof(int));
       // The first receive arrived ~40 ms after the post, so the rank
       // parked at least once and the wait histogram saw it.
-      EXPECT_GE(tm->waits(), 1u);
-      EXPECT_GE(tm->wait_block_latency().count(), 1u);
-      EXPECT_GT(tm->wait_ns(), 1000000u);  // > 1 ms parked
+      EXPECT_GE(tm->totals().waits, 1u);
+      EXPECT_GE(tm->histograms().wait_block_ns.count(), 1u);
+      EXPECT_GT(tm->totals().wait_stall_wall, 1e-3);  // > 1 ms parked
     }
   }, opts);
 }
@@ -435,12 +439,13 @@ TEST_F(TelemetryRun, CollectiveLatencyHistogramFillsPerExecution) {
       cartcomm::alltoall(sb.data(), 1, kInt, rb.data(), 1, kInt, cc,
                          cartcomm::Algorithm::combining);
     }
-    const telemetry::RankTelemetry* tm = world.telemetry();
+    const trace::Recorder* tm = world.telemetry();
     ASSERT_NE(tm, nullptr);
-    EXPECT_EQ(tm->collectives(), static_cast<std::uint64_t>(kExecs));
-    EXPECT_EQ(tm->collective_latency().count(),
+    EXPECT_EQ(tm->totals().schedule_executions,
               static_cast<std::uint64_t>(kExecs));
-    EXPECT_GT(tm->collective_latency().sum(), 0u);
+    EXPECT_EQ(tm->histograms().collective_ns.count(),
+              static_cast<std::uint64_t>(kExecs));
+    EXPECT_GT(tm->histograms().collective_ns.sum(), 0u);
   }, opts);
 }
 
@@ -454,7 +459,7 @@ TEST_F(TelemetryRun, FaultRetriesSurfaceInTelemetry) {
     std::vector<int> buf(16, world.rank());
     if (world.rank() == 0) {
       for (int i = 0; i < 50; ++i) world.send(buf.data(), 16, kInt, 1, 2);
-      retries.store(world.telemetry()->fault_retries(),
+      retries.store(world.telemetry()->totals().fault_retries,
                     std::memory_order_relaxed);
     } else {
       for (int i = 0; i < 50; ++i) world.recv(buf.data(), 16, kInt, 0, 2);
@@ -542,6 +547,39 @@ TEST_F(TelemetryExport, RunWritesOpenMetricsFile) {
   EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
 }
 
+TEST_F(TelemetryExport, PeriodicSnapshotsReadLiveCounters) {
+  // The snapshot thread reads every rank's counters and histograms while
+  // the ranks write them (the single-writer relaxed-atomic contract; TSan
+  // checks it), and the final post-join export is exact.
+  const std::string path = ::testing::TempDir() + "telemetry_periodic.om";
+  std::remove(path.c_str());
+  constexpr int kIters = 1000;
+  mpl::RunOptions opts;
+  opts.telemetry.openmetrics_path = path;
+  opts.telemetry.period_ms = 1.0;
+  mpl::run(4, [](mpl::Comm& world) {
+    const int p = world.size();
+    const int r = world.rank();
+    std::vector<int> buf(16, r);
+    for (int i = 0; i < kIters; ++i) {
+      world.send(buf.data(), 16, kInt, (r + 1) % p, 1);
+      world.recv(buf.data(), 16, kInt, (r + p - 1) % p, 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  }, opts);
+  std::ifstream is(path);
+  ASSERT_TRUE(is) << "run() did not write " << path;
+  std::stringstream buf;
+  buf << is.rdbuf();
+  const std::string text = buf.str();
+  std::remove(path.c_str());
+  EXPECT_NE(text.find("mpl_msgs_sent_total " + std::to_string(4 * kIters) +
+                      "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
+}
+
 TEST_F(TelemetryExport, EnvConfigOverlays) {
   telemetry::TelemetryConfig c;
   EXPECT_FALSE(c.armed());
@@ -562,4 +600,69 @@ TEST_F(TelemetryExport, EnvConfigOverlays) {
   unsetenv("MPL_TELEMETRY");
   unsetenv("MPL_OPENMETRICS");
   unsetenv("MPL_OPENMETRICS_PERIOD_MS");
+}
+
+// ---------------------------------------------------------------------------
+// One counter per fact: metrics JSON and OpenMetrics read the same counts
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Value of `<name>_total` in an OpenMetrics text, -1 when absent.
+double om_total(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + "_total ";
+  const std::size_t at = text.find(key);
+  return at == std::string::npos ? -1.0
+                                 : std::stod(text.substr(at + key.size()));
+}
+
+}  // namespace
+
+TEST_F(TelemetryExport, MetricsAndTelemetryReportIdenticalTraffic) {
+  const std::string om = ::testing::TempDir() + "one_counter.om";
+  const std::string metrics = ::testing::TempDir() + "one_counter.json";
+  // Dropped sends retransmit inline; each message must still count once.
+  setenv("MPL_FAULTS", "seed=5,drop=0.3", 1);
+  struct Unset {
+    ~Unset() { unsetenv("MPL_FAULTS"); }
+  } unset_faults;
+  mpl::RunOptions opts;
+  opts.trace.metrics_path = metrics;
+  opts.telemetry.openmetrics_path = om;
+  mpl::run(4, [](mpl::Comm& world) {
+    const int p = world.size();
+    const int r = world.rank();
+    std::vector<int> buf(16, r);
+    for (int i = 0; i < 20; ++i) {  // eager ring: fast-path receives
+      world.send(buf.data(), 16, kInt, (r + 1) % p, 5);
+      world.recv(buf.data(), 16, kInt, (r + p - 1) % p, 5);
+    }
+    const cartcomm::Neighborhood nb = cartcomm::Neighborhood::von_neumann(2);
+    const std::vector<int> dims{2, 2};
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    std::vector<int> sb(static_cast<std::size_t>(nb.count()), r);
+    std::vector<int> rb(static_cast<std::size_t>(nb.count()), -1);
+    cartcomm::alltoall(sb.data(), 1, kInt, rb.data(), 1, kInt, cc,
+                       cartcomm::Algorithm::combining);
+  }, opts);
+
+  std::ifstream is(om);
+  ASSERT_TRUE(is) << "run() did not write " << om;
+  std::stringstream text;
+  text << is.rdbuf();
+  const trace::json::Value doc = trace::json::parse_file(metrics);
+  std::remove(om.c_str());
+  std::remove(metrics.c_str());
+  for (const char* fact : {"msgs_sent", "bytes_sent", "msgs_recv",
+                           "bytes_recv", "fault_retries"}) {
+    double json_total = 0.0;
+    for (const auto& rank : doc.at("ranks").as_array()) {
+      json_total += rank.at("totals").num_or(fact, -1e9);
+    }
+    EXPECT_GT(json_total, 0.0) << fact;
+    EXPECT_EQ(json_total, om_total(text.str(), std::string("mpl_") + fact))
+        << fact;
+  }
+  EXPECT_EQ(om_total(text.str(), "mpl_msgs_sent"),
+            om_total(text.str(), "mpl_msgs_recv"));
 }

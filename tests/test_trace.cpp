@@ -17,7 +17,7 @@ using cartcomm::Neighborhood;
 using cartcomm::Schedule;
 using trace::Event;
 using trace::EventKind;
-using trace::RankTrace;
+using trace::Recorder;
 using trace::TraceConfig;
 
 namespace {
@@ -79,8 +79,9 @@ void run_5point(mpl::Comm& world, int m) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceRing, DropOldestKeepsNewestAndCounts) {
-  RankTrace rt(0, /*capacity=*/4, /*trace_armed=*/true,
-               /*metrics_armed=*/false, /*start_enabled=*/true);
+  Recorder rt;
+  rt.arm(/*counting=*/false, /*trace=*/true, /*capacity=*/4,
+         /*start_tracing=*/true);
   ASSERT_TRUE(rt.tracing());
   for (std::uint64_t i = 0; i < 10; ++i) rt.record(make_event(i));
   EXPECT_EQ(rt.event_count(), 4u);
@@ -93,7 +94,8 @@ TEST(TraceRing, DropOldestKeepsNewestAndCounts) {
 }
 
 TEST(TraceRing, ZeroCapacityClampsToOne) {
-  RankTrace rt(0, 0, true, false, true);
+  Recorder rt;
+  rt.arm(false, true, 0, true);
   rt.record(make_event(1));
   rt.record(make_event(2));
   EXPECT_EQ(rt.capacity(), 1u);
@@ -103,7 +105,8 @@ TEST(TraceRing, ZeroCapacityClampsToOne) {
 }
 
 TEST(TraceRing, UnarmedRecordsNothing) {
-  RankTrace rt(0, 8, /*trace_armed=*/false, /*metrics_armed=*/false, true);
+  Recorder rt;
+  rt.arm(/*counting=*/false, /*trace=*/false, 8, true);
   EXPECT_FALSE(rt.tracing());
   EXPECT_FALSE(rt.active());
   rt.record(make_event(1));
@@ -114,16 +117,17 @@ TEST(TraceRing, UnarmedRecordsNothing) {
 }
 
 TEST(TraceRing, SectionScopeResetsBetweenSections) {
-  RankTrace rt(0, 16, true, false, true);
+  Recorder rt;
+  rt.arm(false, true, 16, true);
   EXPECT_EQ(rt.section(), -1);
-  EXPECT_EQ(rt.begin_section("a", 0.0, 0.0), 0);
+  EXPECT_EQ(rt.begin_section("a", 0.0), 0);
   rt.record(make_event(1));
-  rt.end_section(1.0, 1.0);
+  rt.end_section(1.0);
   EXPECT_EQ(rt.section(), -1);
   rt.record(make_event(2));  // between sections: untraced scope
-  EXPECT_EQ(rt.begin_section("b", 2.0, 2.0), 1);
+  EXPECT_EQ(rt.begin_section("b", 2.0), 1);
   rt.record(make_event(3));
-  rt.end_section(3.0, 3.0);
+  rt.end_section(3.0);
 
   const std::vector<Event> events = rt.snapshot();
   ASSERT_EQ(events.size(), 7u);
@@ -328,4 +332,58 @@ TEST(TraceRun, MetricsNullWhenDisarmed) {
     EXPECT_EQ(world.trace_section_begin("x"), -1);
     world.trace_section_end();  // must be a harmless no-op
   });
+}
+
+// ---------------------------------------------------------------------------
+// Tracing does not switch the receive path
+// ---------------------------------------------------------------------------
+
+TEST(TraceRun, TracedFastPathRecvIsCountedAndTraced) {
+  // Model off, tracing and metrics armed: a blocking recv whose message is
+  // already queued takes the no-request fast path (so no recv_post event),
+  // and still reports through the seam: one recv_complete, one count.
+  TempFile out("trace_fastpath.json");
+  mpl::RunOptions opts;
+  opts.net = mpl::NetConfig::off();
+  opts.trace.chrome_path = out.path;
+  opts.trace.metrics_path = out.path + ".metrics";
+  constexpr int kTag = 42;
+  constexpr int kCount = 8;
+  mpl::run(
+      2,
+      [&](mpl::Comm& world) {
+        std::vector<int> buf(kCount, world.rank());
+        if (world.rank() == 1) world.send(buf.data(), kCount, kInt, 0, kTag);
+        world.hard_sync();  // the eager send is queued at rank 0 by now
+        if (world.rank() == 0) {
+          const mpl::Status st = world.recv(buf.data(), kCount, kInt, 1, kTag);
+          EXPECT_EQ(st.bytes, kCount * sizeof(int));
+          EXPECT_EQ(buf[0], 1);
+          const trace::Counters* c = world.metrics();
+          ASSERT_NE(c, nullptr);
+          EXPECT_EQ(c->msgs_recv, 1u);
+          EXPECT_EQ(c->bytes_recv, kCount * sizeof(int));
+        }
+      },
+      opts);
+  std::remove((out.path + ".metrics").c_str());
+
+  const trace::json::Value doc = trace::json::parse_file(out.path);
+  int posts = 0;
+  int completes = 0;
+  for (const auto& ev : doc.at("traceEvents").as_array()) {
+    if (ev.str_or("ph", "") != "X" || ev.num_or("tid", -1) != 0) continue;
+    const auto& args = ev.at("args");
+    if (args.num_or("tag", -1) != kTag) continue;
+    const std::string kind = args.str_or("kind", "");
+    if (kind == "recv_post") ++posts;
+    if (kind == "recv_complete") {
+      ++completes;
+      EXPECT_EQ(args.num_or("peer", -1), 1.0);
+      EXPECT_EQ(args.num_or("bytes", -1), kCount * sizeof(int));
+      EXPECT_GE(args.num_or("w_end", -1), args.num_or("w_start", 0));
+    }
+  }
+  EXPECT_EQ(posts, 0) << "a traced run must take the same fast path";
+  EXPECT_EQ(completes, 1);
 }

@@ -26,9 +26,10 @@ baseline and fail on regression:
   columns get noise = 0). Improvements and new configs never fail; a config
   present in the baseline but missing from the current run does.
 
-Overhead check — assert that a telemetry-armed run of one workload stays
-within a fractional budget of the telemetry-off run (the ISSUE's <5%
-criterion for fanin p=64):
+Overhead check — assert that an instrumented run of one workload stays
+within a fractional budget of a base run: telemetry-armed against
+telemetry-off (<5% for fanin p=64), or metrics-armed against
+telemetry-armed (both count the same facts, so they must cost the same):
 
     python3 tools/perf_diff.py --overhead BENCH_off.json BENCH_telem.json \
         --workload fanin --p 64 --max-overhead 0.05
@@ -122,7 +123,7 @@ def overhead_mode(args):
     off = load(args.overhead[0])
     on = load(args.overhead[1])
     key = (args.workload, args.p)
-    for name, side in (("off", off), ("telemetry", on)):
+    for name, side in (("base", off), ("armed", on)):
         if key not in side:
             fail(f"{args.workload} p={args.p} missing from {name} run")
     b, c = off[key], on[key]
@@ -131,14 +132,14 @@ def overhead_mode(args):
     noise = 2.0 * max(b["stddev"], c["stddev"])
     limit = b["median"] * (1.0 + args.max_overhead) + noise
     overhead = c["median"] / b["median"] - 1.0
-    print(f"{args.workload} p={args.p}: off={b['median']:.4g}s "
-          f"telemetry={c['median']:.4g}s overhead={overhead:+.1%} "
+    print(f"{args.workload} p={args.p}: base={b['median']:.4g}s "
+          f"armed={c['median']:.4g}s overhead={overhead:+.1%} "
           f"(budget {args.max_overhead:.0%} + noise {noise:.4g}s)")
     if c["median"] > limit:
-        print(f"perf_diff: telemetry overhead {overhead:.1%} exceeds "
+        print(f"perf_diff: overhead {overhead:.1%} exceeds "
               f"{args.max_overhead:.0%} budget", file=sys.stderr)
         sys.exit(1)
-    print("perf_diff: telemetry overhead within budget")
+    print("perf_diff: overhead within budget")
 
 
 def main():
@@ -149,14 +150,14 @@ def main():
     ap.add_argument("--max-regression", type=float, default=0.35,
                     help="allowed fractional slowdown per config "
                          "(default 0.35)")
-    ap.add_argument("--overhead", nargs=2, metavar=("OFF", "TELEM"),
-                    help="compare a telemetry-off and a telemetry-on dump")
+    ap.add_argument("--overhead", nargs=2, metavar=("BASE", "ARMED"),
+                    help="compare a base dump and an instrumented dump")
     ap.add_argument("--workload", default="fanin",
                     help="workload for --overhead (default fanin)")
     ap.add_argument("--p", type=int, default=64,
                     help="rank count for --overhead (default 64)")
     ap.add_argument("--max-overhead", type=float, default=0.05,
-                    help="allowed fractional telemetry overhead "
+                    help="allowed fractional instrumentation overhead "
                          "(default 0.05)")
     args = ap.parse_args()
     if args.overhead:
