@@ -18,8 +18,16 @@
 //             fast path: bound-schedule reuse must stay comparable to
 //             the persistent handle above)
 //
-// Emits BENCH_transport.json ({"kind": "bench-transport"}) for
-// tools/bench_to_csv.py and the CI transport-bench smoke job.
+// and, only when asked for with --workload=sweep:
+//   sweep     a persistent trivial alltoall over the von Neumann
+//             neighbourhood of a 2x2 torus (4 ranks), blocks of 64 B to
+//             4 MiB in x4 steps, one result "sweep-<block bytes>" per size;
+//             its MB/s curve locates cartcomm::kSingleCopyBytes, the
+//             round size from which the executor sends by reference
+//
+// Emits BENCH_transport.json ({"kind": "bench-transport"}, with the
+// harness's provenance block) for tools/bench_to_csv.py and the CI
+// transport-bench smoke job.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "cartcomm/cartcomm.hpp"
 #include "cartcomm/plan.hpp"
 #include "mpl/mpl.hpp"
@@ -253,6 +262,45 @@ Result run_planhit(int p, int iters, int reps, const mpl::RunOptions& opts) {
   return res;
 }
 
+// -- block-size sweep ---------------------------------------------------------
+
+Result run_sweep_size(std::size_t block_bytes, int reps,
+                      const mpl::RunOptions& opts) {
+  constexpr int kRanks = 4;
+  constexpr int kBlocks = 4;  // von Neumann, d = 2
+  // About 256 MiB of payload per repetition, clamped so small blocks do
+  // not run for seconds and large ones still repeat.
+  const std::size_t per_exec = kRanks * kBlocks * block_bytes;
+  const int iters = static_cast<int>(std::clamp<std::size_t>(
+      (std::size_t{256} << 20) / per_exec, 50, 4000));
+  Result res;
+  res.workload = "sweep-" + std::to_string(block_bytes);
+  res.p = kRanks;
+  res.messages = static_cast<long long>(kRanks) * kBlocks * iters;
+  res.bytes = res.messages * static_cast<long long>(block_bytes);
+  std::vector<double> samples;
+  mpl::run(kRanks, [&](mpl::Comm& world) {
+    const std::vector<int> dims{2, 2};
+    const auto nb = cartcomm::Neighborhood::von_neumann(2);
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    const int m = static_cast<int>(block_bytes);
+    const mpl::Datatype byte = mpl::Datatype::bytes(1);
+    std::vector<unsigned char> sb(kBlocks * block_bytes,
+                                  static_cast<unsigned char>(world.rank()));
+    std::vector<unsigned char> rb(kBlocks * block_bytes, 0);
+    auto op = cartcomm::alltoall_init(sb.data(), m, byte, rb.data(), m, byte,
+                                      cc, cartcomm::Algorithm::trivial);
+    for (int rep = -1; rep < reps; ++rep) {
+      const double t = timed_region(world, [&] {
+        for (int i = 0; i < iters; ++i) op.execute();
+      });
+      if (world.rank() == 0 && rep >= 0) samples.push_back(t);
+    }
+  }, opts);
+  res.set_samples(std::move(samples));
+  return res;
+}
+
 // -- driver -------------------------------------------------------------------
 
 bool write_json(const std::string& path, const std::vector<Result>& results,
@@ -266,6 +314,7 @@ bool write_json(const std::string& path, const std::vector<Result>& results,
   os << "{\n  \"kind\": \"bench-transport\",\n  \"telemetry\": "
      << (telemetry ? "true" : "false")
      << ",\n  \"metrics\": " << (metrics ? "true" : "false")
+     << ",\n  \"provenance\": " << harness::provenance_json()
      << ",\n  \"results\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
@@ -349,7 +398,19 @@ int main(int argc, char** argv) {
   std::printf("Transport wall-clock benchmark (model off)%s%s%s\n",
               quick ? " [quick]" : "", telemetry ? " [telemetry]" : "",
               metrics_path.empty() ? "" : " [metrics]");
-  for (const int p : ps) {
+  const auto print = [](const Result& r) {
+    std::printf("p=%4d %-9s %10lld msgs in %8.3f s  -> %12.0f msgs/s, "
+                "%8.1f MB/s\n",
+                r.p, r.workload.c_str(), r.messages, r.seconds,
+                r.msgs_per_sec(), r.mb_per_sec());
+  };
+  if (only_workload == "sweep") {
+    for (std::size_t b = 64; b <= (std::size_t{4} << 20); b *= 4) {
+      results.push_back(run_sweep_size(b, reps, opts));
+      print(results.back());
+    }
+  }
+  for (const int p : only_workload == "sweep" ? std::vector<int>{} : ps) {
     // Scale iteration counts down with p so total message counts (and the
     // oversubscription of host cores) stay comparable across the sweep.
     const int pingpong_iters = (quick ? 2000 : 8000) / (p / 16);
@@ -365,10 +426,7 @@ int main(int argc, char** argv) {
     if (want("planhit"))
       batch.push_back(run_planhit(p, halo_iters, reps, opts));
     for (const Result& r : batch) {
-      std::printf("p=%4d %-9s %10lld msgs in %8.3f s  -> %12.0f msgs/s, "
-                  "%8.1f MB/s\n",
-                  r.p, r.workload.c_str(), r.messages, r.seconds,
-                  r.msgs_per_sec(), r.mb_per_sec());
+      print(r);
       results.push_back(r);
     }
   }

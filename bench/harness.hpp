@@ -1,8 +1,11 @@
 // Shared benchmark harness: virtual-clock timing of collective operations
 // and the measurement post-processing of the paper's Appendix A, plus the
-// tracing/metrics command line (--trace / --metrics) and the
-// BENCH_schedule.json results dump consumed by tools/bench_to_csv.py.
+// tracing/metrics command line (--trace / --metrics), the provenance
+// block every JSON dump carries, and the BENCH_schedule.json results dump
+// consumed by tools/bench_to_csv.py.
 #pragma once
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -14,7 +17,49 @@
 
 #include "mpl/mpl.hpp"
 
+#ifndef CARTCOLL_BUILD_TYPE
+#define CARTCOLL_BUILD_TYPE "unknown"
+#endif
+#ifndef CARTCOLL_SOURCE_DIR
+#define CARTCOLL_SOURCE_DIR "."
+#endif
+
 namespace harness {
+
+// ---------------------------------------------------------------------------
+// Provenance
+// ---------------------------------------------------------------------------
+
+/// The commit of the source tree the benchmark was built from (read with
+/// git at run time, so it is never stale), or "unknown" outside git.
+inline std::string source_commit() {
+  const std::string cmd =
+      "git -C '" CARTCOLL_SOURCE_DIR "' rev-parse HEAD 2>/dev/null";
+  std::string out;
+  if (FILE* f = popen(cmd.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), f)) out += buf;
+    pclose(f);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+/// JSON object naming where a result came from: host, online CPUs, build
+/// type, compiler and source commit. A wall-clock number is comparable
+/// only with one from the same host and build.
+inline std::string provenance_json() {
+  char host[256] = "unknown";
+  if (gethostname(host, sizeof(host)) != 0) std::strcpy(host, "unknown");
+  host[sizeof(host) - 1] = '\0';
+  return std::string("{\"host\": \"") + host + "\", \"nproc\": " +
+         std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"build_type\": \"" CARTCOLL_BUILD_TYPE
+         "\", \"compiler\": \"" __VERSION__ "\", \"commit\": \"" +
+         source_commit() + "\"}";
+}
 
 // ---------------------------------------------------------------------------
 // Command line
@@ -156,7 +201,8 @@ inline bool write_bench_json(const std::string& path,
     return false;
   }
   os << "{\n  \"kind\": \"bench-schedule\",\n  \"bench\": \"" << bench
-     << "\",\n  \"results\": [";
+     << "\",\n  \"provenance\": " << provenance_json()
+     << ",\n  \"results\": [";
   const auto& records = bench_records();
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];

@@ -47,10 +47,10 @@ void validate_rank(int rank, int size, const char* what) {
               std::string(what) + " rank out of range");
 }
 
-// Every send completes at post time (the transport is eager), so all send
-// requests share one immutable, pre-completed state instead of allocating
-// one per message. Nothing ever writes it after construction: wait/test
-// see done == true and model_accounted == true and return immediately.
+// Every eager send completes at post time, so all eager send requests
+// share one immutable, pre-completed state instead of allocating one per
+// message. Nothing ever writes it after construction: wait/test see
+// done == true and model_accounted == true and return immediately.
 const std::shared_ptr<detail::ReqState>& completed_send_state() {
   static const std::shared_ptr<detail::ReqState> st = [] {
     auto s = std::make_shared<detail::ReqState>();
@@ -59,6 +59,25 @@ const std::shared_ptr<detail::ReqState>& completed_send_state() {
     s->model_accounted = true;
     return s;
   }();
+  return st;
+}
+
+// The request state a slot-recycling post uses: the slot's own state when
+// its previous cycle is fully over — completion observed (the acquire
+// pairs with the completer's release store, ordering its field writes
+// before our reset) and no other reference alive (the mailbox, the
+// matched receive and every Request handle have dropped theirs) — else a
+// fresh one, stored back into the slot. Reuse is never a correctness
+// hazard, only an optimization that usually applies.
+std::shared_ptr<detail::ReqState> slot_state(
+    std::shared_ptr<detail::ReqState>* slot) {
+  if (slot && *slot && slot->use_count() == 1 &&
+      (*slot)->done.load(std::memory_order_acquire)) {
+    (*slot)->reset_for_reuse();
+    return *slot;
+  }
+  auto st = std::make_shared<detail::ReqState>();
+  if (slot) *slot = st;
   return st;
 }
 
@@ -94,30 +113,55 @@ Request Comm::isend_on(Channel ch, const void* buf, int count,
   return Request(completed_send_state(), &proc());
 }
 
-void Comm::isend_core(Channel ch, const void* buf, int count,
-                      const Datatype& type, int dest, int tag) const {
+Request Comm::isend_ref(std::shared_ptr<detail::ReqState>& slot,
+                        const void* buf, int count, const Datatype& type,
+                        int dest, int tag) const {
+  auto st = isend_core(Channel::user, buf, count, type, dest, tag, &slot);
+  return Request(st ? std::move(st) : completed_send_state(), &proc());
+}
+
+std::shared_ptr<detail::ReqState> Comm::isend_core(
+    Channel ch, const void* buf, int count, const Datatype& type, int dest,
+    int tag, std::shared_ptr<detail::ReqState>* ref_slot) const {
   MPL_REQUIRE(valid(), "isend on invalid communicator");
   MPL_REQUIRE(count >= 0, "isend: negative count");
   MPL_REQUIRE(tag >= 0, "isend: negative tag");
   validate_rank(dest, size(), "isend: destination");
 
   Proc& self = proc();
-  if (dest == PROC_NULL) return;
+  if (dest == PROC_NULL) return nullptr;
 
   detail::Message msg;
   msg.ctx = channel_ctx(state_->ctx, ch);
   msg.src = rank_;
   msg.tag = tag;
-  // Payload storage comes from this process's pool and is recycled back
-  // here by the receiver after the unpack (zero-allocation steady state).
-  msg.payload = self.pool().acquire(type.pack_size(count));
-  msg.pool = &self.pool();
-  type.pack(buf, count, msg.payload.data());
+  const std::uint64_t bytes = type.pack_size(count);
+  if (ref_slot) {
+    // By reference: the receiver copies from the caller's layout and
+    // completes this state; nothing is packed or pooled.
+    msg.ref = slot_state(ref_slot);
+    detail::ReqState& st = *msg.ref;
+    st.kind = detail::ReqState::Kind::send;
+    st.model_accounted = true;  // the wire cost is charged at post, as eager
+    st.ctx = msg.ctx;
+    st.match_src = dest;
+    st.match_tag = tag;
+    st.base = const_cast<void*>(buf);
+    st.count = count;
+    st.type = type;
+    st.sender_mailbox = &self.mailbox();
+  } else {
+    // Payload storage comes from this process's pool and is recycled back
+    // here by the receiver after the unpack (zero-allocation steady state).
+    msg.payload = self.pool().acquire(bytes);
+    msg.pool = &self.pool();
+    type.pack(buf, count, msg.payload.data());
+  }
   msg.from_self = (dest == rank_);
+  std::shared_ptr<detail::ReqState> ref = msg.ref;
 
   trace::Recorder& rec = self.recorder();
   const std::uint32_t blocks = message_blocks(type, count);
-  const std::uint64_t bytes = msg.payload.size();
 
   // Fault injection. Decisions are a pure hash of (seed, rank, per-rank
   // message sequence, attempt), so the drop/delay pattern — and with the
@@ -213,6 +257,7 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   };
   rec.on_send(state_->ctx, bytes, blocks, msg.from_self, event);
   state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(std::move(msg));
+  return ref;
 }
 
 Request Comm::irecv_on(Channel ch, void* buf, int count, const Datatype& type,
@@ -235,22 +280,7 @@ Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,
   MPL_REQUIRE(src == ANY_SOURCE || src == PROC_NULL || (src >= 0 && src < size()),
               "irecv: source rank out of range");
 
-  // Recycle the caller's slot only when the previous cycle is fully over:
-  // completion observed (the acquire pairs with the deliverer's release
-  // store, ordering its field writes before our reset) and no other
-  // reference alive — the mailbox drops its copy at match time and any
-  // Request handle must have been destroyed by the caller. Anything less
-  // falls back to a fresh allocation, so reuse is never a correctness
-  // hazard, only an optimization that usually applies.
-  std::shared_ptr<detail::ReqState> st;
-  if (slot && *slot && slot->use_count() == 1 &&
-      (*slot)->done.load(std::memory_order_acquire)) {
-    st = *slot;
-    st->reset_for_reuse();
-  } else {
-    st = std::make_shared<detail::ReqState>();
-    if (slot) *slot = st;
-  }
+  std::shared_ptr<detail::ReqState> st = slot_state(slot);
   st->kind = detail::ReqState::Kind::recv;
   if (src == PROC_NULL) {
     st->done = true;

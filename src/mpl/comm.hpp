@@ -102,6 +102,16 @@ class Comm {
   Request irecv_on(Channel ch, void* buf, int count, const Datatype& type,
                    int src, int tag = 0) const;
 
+  /// Send by reference (the schedule executor's large rounds): nothing
+  /// is packed, the receiver copies straight from (buf, count, type) in
+  /// its own wait/test, and the returned request completes once it has —
+  /// `buf` must stay unchanged until then, and progress needs the
+  /// receiver to wait or test. `slot` recycles the send state as in
+  /// irecv_reuse.
+  Request isend_ref(std::shared_ptr<detail::ReqState>& slot, const void* buf,
+                    int count, const Datatype& type, int dest,
+                    int tag = 0) const;
+
   /// irecv that recycles the caller-held request state in `slot` when it
   /// can (previous cycle complete, no other reference alive), so a
   /// steady-state persistent collective reposts its receives without any
@@ -181,10 +191,13 @@ class Comm {
   void internal_recv(void* data, std::size_t bytes, int src) const;
 
   // The body of isend_on without the Request handle: blocking send()
-  // discards the handle, and every send request is the same pre-completed
-  // singleton anyway, so the hot path skips even its refcount traffic.
-  void isend_core(Channel ch, const void* buf, int count, const Datatype& type,
-                  int dest, int tag) const;
+  // discards the handle, and every eager send request is the same
+  // pre-completed singleton anyway, so the hot path skips even its
+  // refcount traffic. With `ref_slot` the message goes by reference and
+  // the (recycled or fresh) send state is returned; otherwise null.
+  std::shared_ptr<detail::ReqState> isend_core(
+      Channel ch, const void* buf, int count, const Datatype& type, int dest,
+      int tag, std::shared_ptr<detail::ReqState>* ref_slot = nullptr) const;
 
   // Shared body of irecv_on and irecv_reuse: when `slot` is non-null the
   // state it holds is recycled if possible and the state used is stored

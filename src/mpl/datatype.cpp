@@ -273,6 +273,9 @@ void Datatype::flatten(std::ptrdiff_t base_disp, int count,
 
 void Datatype::pack(const void* base, int count, std::byte* out) const {
   const TypeNode& n = node();
+  // Nothing to move: `out` and `base` may both be null, and memcpy must
+  // not see a null pointer even for zero bytes.
+  if (n.size == 0 || count <= 0) return;
   const std::ptrdiff_t ext = n.ub - n.lb;
   const char* cbase = static_cast<const char*>(base);
   if (n.dense()) {
@@ -291,6 +294,7 @@ void Datatype::pack(const void* base, int count, std::byte* out) const {
 
 void Datatype::unpack(const std::byte* in, void* base, int count) const {
   const TypeNode& n = node();
+  if (n.size == 0 || count <= 0) return;
   const std::ptrdiff_t ext = n.ub - n.lb;
   char* cbase = static_cast<char*>(base);
   if (n.dense()) {
@@ -314,6 +318,7 @@ std::size_t Datatype::unpack_partial(const std::byte* in, std::size_t nbytes,
   char* cbase = static_cast<char*>(base);
   std::size_t left = std::min(nbytes, pack_size(count));
   const std::size_t consumed = left;
+  if (left == 0) return 0;
   if (n.dense()) {
     std::memcpy(cbase + n.lb, in, left);
     return consumed;
@@ -329,6 +334,96 @@ std::size_t Datatype::unpack_partial(const std::byte* in, std::size_t nbytes,
     }
   }
   return consumed;
+}
+
+namespace {
+
+// Walks the packed byte stream of (base, count, type) as a sequence of
+// contiguous memory pieces. A dense type is one piece covering all
+// `count` elements.
+class BlockCursor {
+ public:
+  BlockCursor(const TypeNode& n, const char* base, int count)
+      : n_(n), base_(base), ext_(n.ub - n.lb) {
+    if (n.dense()) {
+      dense_len_ = static_cast<std::size_t>(ext_) * static_cast<std::size_t>(count);
+      count_ = 1;
+    } else {
+      count_ = count;
+    }
+    load();
+  }
+
+  [[nodiscard]] const char* ptr() const noexcept { return ptr_; }
+  [[nodiscard]] std::size_t left() const noexcept { return left_; }
+
+  /// Consume `k` <= left() bytes of the current piece; moves to the next
+  /// piece when it is used up.
+  void advance(std::size_t k) noexcept {
+    ptr_ += k;
+    left_ -= k;
+    if (left_ == 0) {
+      ++blk_;
+      load();
+    }
+  }
+
+ private:
+  // Point at the current (element, block) piece, skipping to the next
+  // element at the end of a block list.
+  void load() noexcept {
+    if (dense_len_ > 0) {
+      if (elem_ == 0 && blk_ == 0) {
+        ptr_ = base_ + n_.lb;
+        left_ = dense_len_;
+      } else {
+        left_ = 0;
+      }
+      return;
+    }
+    while (elem_ < count_) {
+      if (blk_ < n_.blocks.size()) {
+        const TypeBlock& b = n_.blocks[blk_];
+        ptr_ = base_ + b.disp + static_cast<std::ptrdiff_t>(elem_) * ext_;
+        left_ = b.len;
+        return;
+      }
+      blk_ = 0;
+      ++elem_;
+    }
+    left_ = 0;
+  }
+
+  const TypeNode& n_;
+  const char* base_;
+  std::ptrdiff_t ext_;
+  std::size_t dense_len_ = 0;
+  int count_ = 0;
+  int elem_ = 0;
+  std::size_t blk_ = 0;
+  const char* ptr_ = nullptr;
+  std::size_t left_ = 0;
+};
+
+}  // namespace
+
+std::size_t copy_typed_bytes(const void* src, int scount,
+                             const Datatype& stype, void* dst, int rcount,
+                             const Datatype& rtype, std::size_t nbytes) {
+  std::size_t left = std::min(
+      {nbytes, stype.pack_size(scount), rtype.pack_size(rcount)});
+  const std::size_t total = left;
+  if (left == 0) return 0;
+  BlockCursor in(stype.node(), static_cast<const char*>(src), scount);
+  BlockCursor out(rtype.node(), static_cast<const char*>(dst), rcount);
+  while (left > 0) {
+    const std::size_t take = std::min({left, in.left(), out.left()});
+    std::memcpy(const_cast<char*>(out.ptr()), in.ptr(), take);
+    in.advance(take);
+    out.advance(take);
+    left -= take;
+  }
+  return total;
 }
 
 void TypeBuilder::append(const void* addr, int count, const Datatype& t) {

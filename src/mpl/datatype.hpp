@@ -150,6 +150,9 @@ class Datatype {
 
  private:
   friend class TypeBuilder;
+  friend std::size_t copy_typed_bytes(const void*, int, const Datatype&,
+                                      void*, int, const Datatype&,
+                                      std::size_t);
   explicit Datatype(std::shared_ptr<const detail::TypeNode> node)
       : node_(std::move(node)) {}
 
@@ -157,6 +160,15 @@ class Datatype {
 
   std::shared_ptr<const detail::TypeNode> node_;
 };
+
+/// Copy the first `nbytes` of the packed stream of (src, scount, stype)
+/// straight into the typemap of (dst, rcount, rtype): one pass over both
+/// block lists with no staging buffer, so the two layouts' block
+/// boundaries need not line up. Returns the bytes copied, the minimum of
+/// `nbytes` and both types' pack sizes. Zero bytes touch no pointer.
+std::size_t copy_typed_bytes(const void* src, int scount,
+                             const Datatype& stype, void* dst, int rcount,
+                             const Datatype& rtype, std::size_t nbytes);
 
 /// Incremental builder for absolute-address structured types; the analogue
 /// of the paper's TypeApp function (Algorithm 1). Blocks appended here carry

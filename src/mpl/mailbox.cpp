@@ -20,12 +20,13 @@ bool Mailbox::matches(const ReqState& r, const Message& m) {
 }
 
 // Fill the completion fields of a matched (request, message) pair and hand
-// the payload buffer back to its origin pool. Runs with NO lock held: the
+// the payload buffer back to its origin pool (a by-reference message moves
+// its send state onto the request instead). Runs with NO lock held: the
 // pairing was fixed under the mailbox mutex, so the unpack (a potentially
 // large datatype scatter) must not serialize other senders or the owner.
 // Does NOT set r.done — the caller publishes completion afterwards.
 void Mailbox::complete(ReqState& r, Message& m) {
-  const std::size_t incoming = m.payload.size();
+  const std::size_t incoming = m.bytes();
   const std::size_t capacity = r.type.pack_size(r.count);
   r.depart = m.depart;
   r.arrive_wall = m.arrive_wall;
@@ -40,12 +41,40 @@ void Mailbox::complete(ReqState& r, Message& m) {
               " bytes, receive capacity " + std::to_string(capacity) +
               " bytes)";
     r.truncated = true;
+  } else if (m.ref) {
+    r.status = Status{m.src, m.tag, incoming};  // pull() copies it
   } else {
     const std::size_t got =
         r.type.unpack_partial(m.payload.data(), incoming, r.base, r.count);
     r.status = Status{m.src, m.tag, got};
   }
+  // A truncated by-reference match is attached too: pull() skips the copy
+  // but still completes the sender.
+  r.ref = std::move(m.ref);
   m.release();
+}
+
+void Mailbox::pull(ReqState& r) {
+  const std::shared_ptr<ReqState> send = std::move(r.ref);
+  if (!r.truncated) {
+    copy_typed_bytes(send->base, send->count, send->type, r.base, r.count,
+                     r.type, r.status.bytes);
+  }
+  send->sender_mailbox->publish(*send);
+}
+
+void Mailbox::publish(ReqState& r) {
+  // Storing `done` under the mutex is what makes the owner's predicated
+  // cv_ wait lost-wakeup-free; the release order still pairs with the
+  // lock-free acquire loads in poll_done()/test().
+  bool wake = false;
+  {
+    detail::CheckedLock lock(mtx_);
+    r.done.store(true, std::memory_order_release);
+    wake = wait_kind_ == WaitKind::any ||
+           (wait_kind_ == WaitKind::request && wait_req_ == &r);
+  }
+  if (wake) cv_.notify_one();
 }
 
 void Mailbox::deliver(Message msg) {
@@ -78,20 +107,13 @@ void Mailbox::deliver(Message msg) {
     return;
   }
 
-  // Phase 2 (unlocked): unpack the payload and recycle the buffer.
+  // Phase 2 (unlocked): unpack the payload and recycle the buffer (or
+  // attach a by-reference message; its copy runs on the owner's thread,
+  // so both directions of an exchange copy in parallel).
   complete(*match, msg);
 
-  // Phase 3 (locked): publish completion and decide whether the owner
-  // needs a wakeup. Storing `done` under the mutex is what makes the
-  // owner's predicated cv_ wait lost-wakeup-free; the release order still
-  // pairs with the lock-free acquire loads in poll_done()/test().
-  {
-    detail::CheckedLock lock(mtx_);
-    match->done.store(true, std::memory_order_release);
-    wake = wait_kind_ == WaitKind::any ||
-           (wait_kind_ == WaitKind::request && wait_req_ == match.get());
-  }
-  if (wake) cv_.notify_one();
+  // Phase 3 (locked): publish completion and wake the owner if needed.
+  publish(*match);
 }
 
 namespace {
@@ -101,7 +123,7 @@ bool probe_match(const std::deque<Message>& q, std::uint64_t ctx, int src,
     const bool hit = m.ctx == ctx && (src == ANY_SOURCE || src == m.src) &&
                      (tag == ANY_TAG || tag == m.tag);
     if (hit) {
-      if (st) *st = Status{m.src, m.tag, m.payload.size()};
+      if (st) *st = Status{m.src, m.tag, m.bytes()};
       return true;
     }
   }
@@ -223,16 +245,24 @@ bool Mailbox::try_recv_now(std::uint64_t ctx, int src, int tag,
   }
   Message msg = std::move(*it);
   claimed_.erase(it);
-  const std::size_t incoming = msg.payload.size();
+  const std::size_t incoming = msg.bytes();
   const std::size_t capacity = type.pack_size(count);
+  const std::shared_ptr<ReqState> send = std::move(msg.ref);
   if (incoming > capacity) {
     msg.release();
+    if (send) send->sender_mailbox->publish(*send);
     throw Error("mpl: message truncated (incoming " +
                 std::to_string(incoming) + " bytes, receive capacity " +
                 std::to_string(capacity) + " bytes)");
   }
-  const std::size_t got =
-      type.unpack_partial(msg.payload.data(), incoming, base, count);
+  std::size_t got = 0;
+  if (send) {
+    got = copy_typed_bytes(send->base, send->count, send->type, base, count,
+                           type, incoming);
+    send->sender_mailbox->publish(*send);
+  } else {
+    got = type.unpack_partial(msg.payload.data(), incoming, base, count);
+  }
   if (st) *st = Status{msg.src, msg.tag, got};
   if (arrive_wall) *arrive_wall = msg.arrive_wall;
   msg.release();
@@ -281,7 +311,9 @@ void Mailbox::wait_done(const std::shared_ptr<ReqState>& r) {
                 ? "recv (ctx=" + std::to_string(r->ctx) +
                       " src=" + std::to_string(r->match_src) +
                       " tag=" + std::to_string(r->match_tag) + ")"
-                : "send request");
+                : "by-reference send (ctx=" + std::to_string(r->ctx) +
+                      " dest=" + std::to_string(r->match_src) +
+                      " tag=" + std::to_string(r->match_tag) + ")");
 }
 
 void Mailbox::notify_abort() {
@@ -300,6 +332,10 @@ void Mailbox::dump_pending(std::ostream& os) {
       if (wait_req_ && wait_req_->kind == ReqState::Kind::recv) {
         os << "blocked on recv (ctx=" << wait_req_->ctx
            << " src=" << wait_req_->match_src
+           << " tag=" << wait_req_->match_tag << ")";
+      } else if (wait_req_ && wait_req_->sender_mailbox) {
+        os << "blocked on by-reference send (ctx=" << wait_req_->ctx
+           << " dest=" << wait_req_->match_src
            << " tag=" << wait_req_->match_tag << ")";
       } else {
         os << "blocked on request";
@@ -331,7 +367,7 @@ void Mailbox::dump_pending(std::ostream& os) {
   } else {
     for (const Message& m : unexpected_) {
       os << " [from=" << m.src << " ctx=" << m.ctx << " tag=" << m.tag
-         << " bytes=" << m.payload.size() << "]";
+         << " bytes=" << m.bytes() << (m.ref ? " by-ref" : "") << "]";
     }
   }
 }

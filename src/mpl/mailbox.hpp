@@ -1,8 +1,11 @@
 // Per-process message matching.
 //
 // Each simulated process owns one Mailbox. Senders deliver messages
-// directly (the transport is eager: the payload is packed by the sender
-// and copied once); the mailbox matches them against posted receives using
+// directly, in one of two forms: eager (the payload is packed by the
+// sender into a pool buffer and unpacked by the match) or by reference
+// (the message names the sender's buffer and datatype, and the receiver
+// copies straight from it in its wait/test — see Comm::isend_ref). The
+// mailbox matches them against posted receives using
 // MPI semantics: (context, source, tag) with wildcards, FIFO per
 // (sender, context) pair, matching in arrival/posting order.
 //
@@ -45,19 +48,27 @@ inline constexpr int PROC_NULL = -1;
 
 namespace detail {
 
-/// A packed in-flight message. The payload buffer is borrowed from the
-/// sending process's BufferPool and returned there by release() once the
-/// receiver has unpacked it; a message that is never received just frees
-/// the buffer on destruction.
+/// An in-flight message. An eager message carries a packed payload
+/// borrowed from the sending process's BufferPool and returned there by
+/// release() once the receiver has unpacked it; a message that is never
+/// received just frees the buffer on destruction. A by-reference message
+/// carries no payload: `ref` is the sender's request state, whose (base,
+/// count, type) describe the bytes in place.
 struct Message {
   std::uint64_t ctx = 0;
   int src = -1;
   int tag = -1;
   Buffer payload;
   BufferPool* pool = nullptr;  // origin pool; null for unpooled payloads
+  std::shared_ptr<ReqState> ref;  // by-reference send state; null if eager
   double depart = 0.0;  // sender virtual-clock stamp
   double arrive_wall = -1.0;  // wall time of mailbox delivery (tracing only)
   bool from_self = false;
+
+  /// Payload bytes, in either form.
+  [[nodiscard]] std::size_t bytes() const {
+    return ref ? ref->type.pack_size(ref->count) : payload.size();
+  }
 
   /// Hand the payload back to its origin pool (no-op when unpooled).
   /// Must not be called while holding a mailbox lock.
@@ -108,16 +119,27 @@ class Mailbox {
 
   /// Deliver a message (called by the sending thread). If a matching
   /// receive is posted it is dequeued under the lock, its payload unpacked
-  /// after release, and the request completed; otherwise the message is
-  /// queued as unexpected. Wakes the owner only when the owner's recorded
-  /// wait can be satisfied by this delivery.
+  /// after release (a by-reference message is only attached: the owner
+  /// copies it in wait/test), and the request completed; otherwise the
+  /// message is queued as unexpected. Wakes the owner only when the
+  /// owner's recorded wait can be satisfied by this delivery.
   void deliver(detail::Message msg) MPL_EXCLUDES(mtx_);
 
   /// Post a receive (called by the owning thread). May complete
   /// immediately against an unexpected message (unpacked outside the
-  /// lock).
+  /// lock; a by-reference one is attached for wait/test to copy).
   void post_recv(const std::shared_ptr<detail::ReqState>& r)
       MPL_EXCLUDES(mtx_);
+
+  /// Finish a receive matched by reference (owner thread, no lock held):
+  /// copy from the sender's datatype straight into the receive layout —
+  /// unless the match was truncated — then complete the sender's request
+  /// under the sender's mailbox lock. Called by Request::wait/test.
+  static void pull(detail::ReqState& r);
+
+  /// Publish the completion of `r`, a request this mailbox's owner may be
+  /// parked on, and wake the owner when its recorded wait is satisfied.
+  void publish(detail::ReqState& r) MPL_EXCLUDES(mtx_);
 
   /// Owner-thread fast path for a blocking receive with the network model
   /// off: match-and-consume an already queued unexpected message without
@@ -201,7 +223,8 @@ class Mailbox {
 
   static bool matches(const detail::ReqState& r, const detail::Message& m);
   /// Unpack a matched (request, message) pair and recycle the payload to
-  /// its origin pool. Must run with the mailbox lock released: the unpack
+  /// its origin pool; a by-reference message is attached to the request
+  /// instead, for pull(). Must run with the mailbox lock released: the unpack
   /// is the expensive phase-2 of delivery, and recycling to the pool while
   /// holding the mailbox would couple every sender to this receiver's
   /// pool contention (BufferPool::recycle additionally asserts no mailbox

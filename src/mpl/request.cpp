@@ -100,6 +100,7 @@ Status Request::wait() {
                     : -1,
                 owner_->clock().enabled() ? owner_->clock().now() : 0.0, t0);
   }
+  if (state_->ref) Mailbox::pull(*state_);
   // Accounting precedes the error throw: a truncated message still crossed
   // the wire, and the owner's virtual clock must advance past it even
   // though the receive is reported as failed.
@@ -113,6 +114,7 @@ bool Request::test(Status* st) {
   // Completion is published with a release store, so this acquire load is
   // the whole check — no mailbox lock on the polling fast path.
   if (!state_->done.load(std::memory_order_acquire)) return false;
+  if (state_->ref) Mailbox::pull(*state_);
   account(*state_, *owner_);
   if (!state_->error.empty()) throw Error(state_->error);
   if (st) *st = state_->status;

@@ -2,8 +2,10 @@
 //
 // A Request is a handle to the completion state of one isend/irecv. Receive
 // requests are completed by the delivering thread (under the receiver's
-// mailbox lock); send requests complete locally at post time (the transport
-// is eager/buffered). Waiting also performs the network-model accounting
+// mailbox lock); eager send requests complete locally at post time, and a
+// by-reference send (Comm::isend_ref) completes when its receiver has
+// copied the data. A receive matched by reference does that copy inside
+// its own wait/test. Waiting also performs the network-model accounting
 // for the owning process, in request order, which keeps virtual-clock
 // results deterministic.
 #pragma once
@@ -19,6 +21,7 @@
 
 namespace mpl {
 
+class Mailbox;
 class Proc;
 
 /// Completion information of a receive (source, tag, payload bytes).
@@ -36,19 +39,23 @@ struct ReqState {
   Kind kind = Kind::send;
   /// Completion flag. Written by the completing thread after the unlocked
   /// unpack (under the receiver's mailbox lock when a deliverer completes
-  /// it, lock-free on the owning thread for immediate matches) and read
+  /// it, lock-free on the owning thread for immediate matches; a
+  /// by-reference send is completed by its receiver under the sender's
+  /// mailbox lock) and read
   /// locklessly by the owner's test()/wait()/poll_done() fast path, so it
   /// must be atomic; the release store / the acquire load here also order
   /// the other completion fields (status, error, depart) written before it.
   std::atomic<bool> done{false};
   bool model_accounted = false;
 
-  // Matching criteria (recv only).
+  // Matching criteria (recv). A by-reference send keeps its envelope here
+  // for diagnostics, with the destination rank in match_src.
   std::uint64_t ctx = 0;
   int match_src = -1;
   int match_tag = -1;
 
-  // Destination layout (recv only).
+  // Destination layout (recv), or the layout a by-reference send's
+  // receiver copies from (the sender keeps it unchanged until done).
   void* base = nullptr;
   int count = 0;
   Datatype type;
@@ -70,6 +77,14 @@ struct ReqState {
   // Receiver-side delivery error (e.g. truncation); thrown from wait/test.
   std::string error;
 
+  /// Recv only: the matched by-reference message's send state. Set when
+  /// the receive matches; the owner copies from it in wait/test
+  /// (Mailbox::pull), completes it and resets this.
+  std::shared_ptr<ReqState> ref;
+  /// By-reference send only: the sender's mailbox, where the receiver
+  /// publishes the completion (and wakes the sender if it is parked).
+  Mailbox* sender_mailbox = nullptr;
+
   /// Reset the completion-cycle fields so a drained state can be reposted
   /// (the persistent-collective zero-allocation path). The caller must
   /// have observed done == true with acquire semantics and hold the only
@@ -87,6 +102,7 @@ struct ReqState {
     null_recv = false;
     truncated = false;
     error.clear();
+    ref.reset();
   }
 };
 

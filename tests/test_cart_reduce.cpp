@@ -263,17 +263,22 @@ TEST(CartReduce, ReduceScatterBlockMatchesOracle) {
       auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
       const int t = nb.count();
       const int m = 3;
+      // Inputs are bounded below 2^28 in magnitude, so the int sum of the
+      // t = 5 contributions (and the oracle's) cannot overflow.
+      const auto value = [](int src, int i, int e) {
+        return carttest::pattern(src, i, e) / 8;
+      };
       std::vector<int> sendbuf(static_cast<std::size_t>(t) * m);
       for (int i = 0; i < t; ++i)
         for (int e = 0; e < m; ++e)
           sendbuf[static_cast<std::size_t>(i) * m + e] =
-              carttest::pattern(world.rank(), i, e);
+              value(world.rank(), i, e);
       std::vector<int> out(static_cast<std::size_t>(m), -777);
       const int blocks = cartcomm::cart_reduce_scatter_block(
           sendbuf.data(), out.data(), m, mpl::Datatype::of<int>(),
           mpl::ReduceOp::sum<int>(), cc, alg);
       // Oracle: contribution i arrives from the source at -N[i] when that
-      // process exists; it sent pattern(src, i, e).
+      // process exists; it sent value(src, i, e).
       int live = 0;
       std::vector<int> expect(static_cast<std::size_t>(m), 0);
       for (int i = 0; i < t; ++i) {
@@ -281,7 +286,7 @@ TEST(CartReduce, ReduceScatterBlockMatchesOracle) {
         if (src == mpl::PROC_NULL) continue;
         ++live;
         for (int e = 0; e < m; ++e)
-          expect[static_cast<std::size_t>(e)] += carttest::pattern(src, i, e);
+          expect[static_cast<std::size_t>(e)] += value(src, i, e);
       }
       EXPECT_EQ(blocks, live);
       for (int e = 0; e < m; ++e)

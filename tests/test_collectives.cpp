@@ -25,6 +25,36 @@ TEST(CopyTyped, StridedToContiguous) {
   EXPECT_EQ(dst, (std::vector<int>{0, 2, 4, 6}));
 }
 
+TEST(CopyTyped, StridedToDifferentlyStridedUnalignedBlocks) {
+  // Source blocks of 3 ints every 5 (count 2 of a resized element), sink
+  // blocks of 4 ints every 6: no block boundary of one layout lines up
+  // with the other's, so every piece is split across both walks.
+  const Datatype three = Datatype::vector(4, 3, 5, kInt);  // 12 ints
+  const Datatype four = Datatype::vector(6, 4, 6, kInt);   // 24 ints
+  std::vector<int> src(40);
+  std::iota(src.begin(), src.end(), 0);
+  std::vector<int> dst(36, -1);
+  mpl::copy_typed(src.data(), 2, three, dst.data(), 1, four);
+  // Oracle through an explicit pack/unpack staging buffer.
+  std::vector<std::byte> staged(three.pack_size(2));
+  three.pack(src.data(), 2, staged.data());
+  std::vector<int> expect(36, -1);
+  four.unpack(staged.data(), expect.data(), 1);
+  EXPECT_EQ(dst, expect);
+  EXPECT_EQ(dst[0], 0);
+  EXPECT_EQ(dst[3], 5);  // packed int 3 = source index 5
+  EXPECT_EQ(dst[4], -1);  // sink gap untouched
+}
+
+TEST(CopyTyped, ZeroBytesTouchNoPointer) {
+  // Null buffers with zero-sized copies: nothing may be dereferenced or
+  // handed to memcpy (UBSan's nonnull check).
+  mpl::copy_typed(nullptr, 0, kInt, nullptr, 0, kInt);
+  mpl::copy_typed(nullptr, 3, Datatype::bytes(0), nullptr, 0,
+                  Datatype::vector(2, 1, 3, kInt));
+  EXPECT_EQ(mpl::copy_typed_bytes(nullptr, 4, kInt, nullptr, 4, kInt, 0), 0u);
+}
+
 TEST(CopyTyped, SizeMismatchThrows) {
   std::vector<int> a(4), b(4);
   EXPECT_THROW(mpl::copy_typed(a.data(), 3, kInt, b.data(), 4, kInt), mpl::Error);
