@@ -14,8 +14,8 @@
 //             sqrt(p) torus (the schedule-executor path: derived
 //             datatypes, test/wait polling)
 //   planhit   the same halo exchange through the blocking non-persistent
-//             cartcomm::alltoall with a warm plan cache (the cache-hit
-//             fast path: bound-schedule reuse must stay comparable to
+//             cartcomm::alltoall with a warm plan cache (every call is one
+//             plan lookup and one bind, which must stay comparable to
 //             the persistent handle above)
 //
 // and, only when asked for with --workload=sweep:

@@ -92,7 +92,7 @@ CompiledPlan compile_allgather_plan(const CartNeighborComm& cc,
     }
   }
 
-  PlanBuilder builder;
+  PlanBuilder builder(cc.grid());
   builder.allocate_temp(static_cast<std::size_t>(temp_slots) * m);
 
   auto placement = [&](const Storage& s) {
@@ -216,20 +216,6 @@ Schedule build_allgather_schedule(const CartNeighborComm& cc,
   const SendBlock sends[1] = {send};
   return allgather_plan(cc, send.bytes(), order, key, combining)
       ->bind(cc, sends, recvs);
-}
-
-std::shared_ptr<BoundSchedule> build_allgather_schedule_shared(
-    const CartNeighborComm& cc, const SendBlock& send,
-    std::span<const RecvBlock> recvs, DimOrder order, bool combining) {
-  const PlanKey key = allgather_key_checked(cc, send, recvs, order, combining);
-  const SendBlock sends[1] = {send};
-  const PlanKey bkey = make_bound_key(key, cc.comm().rank(), sends, recvs);
-  if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
-    return s;
-  }
-  return schedule_cache_store(
-      bkey, allgather_plan(cc, send.bytes(), order, key, combining)
-                ->bind(cc, sends, recvs));
 }
 
 }  // namespace cartcomm

@@ -46,7 +46,7 @@ CompiledPlan compile_trivial_plan(const CartNeighborComm& cc,
     p.index = index;
     return p;
   };
-  PlanBuilder builder;
+  PlanBuilder builder(cc.grid());
   for (int i = 0; i < nb.count(); ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     const PlanPlacement send =
@@ -95,7 +95,7 @@ CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
 
   // Temp slot offsets: slot A for every multi-hop block, slot B only for
   // multi-hop blocks that may not use their receive slot for parking.
-  PlanBuilder builder;
+  PlanBuilder builder(cc.grid());
   std::vector<std::size_t> off_a(static_cast<std::size_t>(t), 0);
   std::vector<std::size_t> off_b(static_cast<std::size_t>(t), 0);
   for (int i = 0; i < t; ++i) {
@@ -258,18 +258,6 @@ Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  bool combining) {
   const PlanKey key = alltoall_key_checked(cc, sends, recvs, combining);
   return alltoall_plan(cc, sends, key, combining)->bind(cc, sends, recvs);
-}
-
-std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs, bool combining) {
-  const PlanKey key = alltoall_key_checked(cc, sends, recvs, combining);
-  const PlanKey bkey = make_bound_key(key, cc.comm().rank(), sends, recvs);
-  if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
-    return s;
-  }
-  return schedule_cache_store(
-      bkey, alltoall_plan(cc, sends, key, combining)->bind(cc, sends, recvs));
 }
 
 }  // namespace cartcomm

@@ -3,10 +3,11 @@
 //
 // Both builders are split into a rank-independent *compile* step and a
 // per-call *bind* step (see plan.hpp): the entry points below validate
-// their arguments, consult the process-global compiled-plan cache keyed
-// on the canonical neighborhood signature, compile on a miss, and bind
-// the (possibly cached) plan to the caller's buffers. The resulting
-// Schedule is bit-identical to one built directly.
+// their arguments, do one lookup in the process-global compiled-plan cache
+// keyed on the canonical neighborhood signature, compile on a miss, and
+// bind the (possibly cached) plan to the caller's buffers. The resulting
+// Schedule is bit-identical to one built directly. Persistent *_init
+// calls keep the schedule; blocking one-shot calls execute and drop it.
 #pragma once
 
 #include <memory>
@@ -46,20 +47,6 @@ Schedule build_allgather_schedule(const CartNeighborComm& cc,
                                   DimOrder order = DimOrder::increasing_ck,
                                   bool combining = true);
 
-/// One-shot variants for the blocking non-persistent collectives: return a
-/// shared Schedule served from the bound-schedule cache (plan + rank +
-/// block addresses; see plan.hpp) when possible, so a repeated call with
-/// the same buffers skips both compilation and datatype binding. The
-/// returned schedule is bit-identical to the by-value builders'.
-[[nodiscard]] std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs, bool combining = true);
-
-[[nodiscard]] std::shared_ptr<BoundSchedule> build_allgather_schedule_shared(
-    const CartNeighborComm& cc, const SendBlock& send,
-    std::span<const RecvBlock> recvs,
-    DimOrder order = DimOrder::increasing_ck, bool combining = true);
-
 /// Reducing schedules (the allgather tree run in reverse with
 /// combine-on-unpack; reduce_schedule.cpp). `sends` holds one block for
 /// ReduceVariant::reduce and t blocks for reduce_scatter; `recv` is the
@@ -73,9 +60,42 @@ Schedule build_reduce_schedule(const CartNeighborComm& cc,
                                ReduceVariant variant, bool combining,
                                DimOrder order = DimOrder::increasing_ck);
 
-[[nodiscard]] std::shared_ptr<BoundSchedule> build_reduce_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    const RecvBlock& recv, const mpl::ReduceOp& op, ReduceVariant variant,
-    bool combining, DimOrder order = DimOrder::increasing_ck);
+/// A bound schedule with its own execution working set: the one-shot
+/// calls split into their public steps (bind, then start/wait), as a
+/// tracing caller times them. The *_shared builders bind and wrap.
+struct BoundSchedule {
+  Schedule sched;
+  ExecutionScratch scratch;
+};
+
+[[nodiscard]] inline std::shared_ptr<BoundSchedule>
+build_alltoall_schedule_shared(const CartNeighborComm& cc,
+                               std::span<const SendBlock> sends,
+                               std::span<const RecvBlock> recvs,
+                               bool combining = true) {
+  return std::make_shared<BoundSchedule>(
+      BoundSchedule{build_alltoall_schedule(cc, sends, recvs, combining), {}});
+}
+
+[[nodiscard]] inline std::shared_ptr<BoundSchedule>
+build_allgather_schedule_shared(const CartNeighborComm& cc,
+                                const SendBlock& send,
+                                std::span<const RecvBlock> recvs,
+                                DimOrder order = DimOrder::increasing_ck,
+                                bool combining = true) {
+  return std::make_shared<BoundSchedule>(BoundSchedule{
+      build_allgather_schedule(cc, send, recvs, order, combining), {}});
+}
+
+[[nodiscard]] inline std::shared_ptr<BoundSchedule>
+build_reduce_schedule_shared(const CartNeighborComm& cc,
+                             std::span<const SendBlock> sends,
+                             const RecvBlock& recv, const mpl::ReduceOp& op,
+                             ReduceVariant variant, bool combining,
+                             DimOrder order = DimOrder::increasing_ck) {
+  return std::make_shared<BoundSchedule>(BoundSchedule{
+      build_reduce_schedule(cc, sends, recv, op, variant, combining, order),
+      {}});
+}
 
 }  // namespace cartcomm

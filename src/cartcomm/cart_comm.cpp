@@ -1,7 +1,6 @@
 #include "cartcomm/cart_comm.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "mpl/collectives.hpp"
 #include "mpl/error.hpp"
@@ -82,22 +81,15 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
   const int t = sub.count();
   cc.target_ranks_.resize(static_cast<std::size_t>(t));
   cc.source_ranks_.resize(static_cast<std::size_t>(t));
-  std::vector<int> neg(static_cast<std::size_t>(sub.ndims()));
   for (int i = 0; i < t; ++i) {
     const auto rel = sub.offset(i);
-    for (std::size_t k = 0; k < neg.size(); ++k) neg[k] = -rel[k];
     cc.target_ranks_[static_cast<std::size_t>(i)] =
         cart_.grid().rank_at_offset(cart_.coords(), rel);
     cc.source_ranks_[static_cast<std::size_t>(i)] =
-        cart_.grid().rank_at_offset(cart_.coords(), neg);
+        cart_.grid().rank_at_offset(cart_.coords(), rel, -1);
   }
   cc.nb_ = std::move(sub);
   return cc;
-}
-
-std::uint64_t CartNeighborComm::next_uid() noexcept {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 Algorithm CartNeighborComm::resolve_alltoall(Algorithm requested,
@@ -173,14 +165,12 @@ CartNeighborComm cart_neighborhood_create(const mpl::Comm& comm,
   const int t = targets.count();
   cc.target_ranks_.resize(static_cast<std::size_t>(t));
   cc.source_ranks_.resize(static_cast<std::size_t>(t));
-  std::vector<int> neg(static_cast<std::size_t>(targets.ndims()));
   for (int i = 0; i < t; ++i) {
     const auto rel = targets.offset(i);
-    for (std::size_t k = 0; k < neg.size(); ++k) neg[k] = -rel[k];
     cc.target_ranks_[static_cast<std::size_t>(i)] =
         cc.cart_.grid().rank_at_offset(cc.cart_.coords(), rel);
     cc.source_ranks_[static_cast<std::size_t>(i)] =
-        cc.cart_.grid().rank_at_offset(cc.cart_.coords(), neg);
+        cc.cart_.grid().rank_at_offset(cc.cart_.coords(), rel, -1);
   }
   return cc;
 }

@@ -2,7 +2,6 @@
 // helper/query functionality (Listing 2).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
@@ -48,11 +47,6 @@ class CartNeighborComm {
     return cart_.coords();
   }
   [[nodiscard]] std::span<const int> weights() const noexcept { return weights_; }
-
-  /// Process-unique identity of this communicator object, shared by its
-  /// copies. Lets per-thread caches detect that a pointer-equal object is
-  /// actually a different communicator (allocator address reuse).
-  [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
 
   // -- Listing 2 helpers -----------------------------------------------------
 
@@ -131,15 +125,12 @@ class CartNeighborComm {
   friend std::optional<CartNeighborComm> detect_cartesian(
       const mpl::CartComm&, std::span<const int>, const Info&);
 
-  static std::uint64_t next_uid() noexcept;
-
   mpl::CartComm cart_;
   Neighborhood nb_;
   NeighborhoodStats stats_;
   std::vector<int> weights_;
   std::vector<int> target_ranks_;
   std::vector<int> source_ranks_;
-  std::uint64_t uid_ = next_uid();
   Algorithm a2a_alg_ = Algorithm::automatic;
   Algorithm ag_alg_ = Algorithm::automatic;
   DimOrder ag_order_ = DimOrder::increasing_ck;

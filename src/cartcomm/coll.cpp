@@ -1,13 +1,11 @@
 #include "cartcomm/coll.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cartcomm/build_schedule.hpp"
-#include "cartcomm/plan.hpp"
 #include "mpl/error.hpp"
-#include "telemetry/plan_cache.hpp"
 
 namespace cartcomm {
 
@@ -35,26 +33,34 @@ bool use_combining(const CartNeighborComm& cc, std::span<const SendBlock> sends,
   return resolved == Algorithm::combining;
 }
 
+/// One plan lookup and one bind. `sends` holds one block per neighbor
+/// (alltoall) or the single shared send block (allgather).
+Schedule build_movement(const CartNeighborComm& cc,
+                        std::span<const SendBlock> sends,
+                        std::span<const RecvBlock> recvs, bool allgather,
+                        bool combining) {
+  return allgather ? build_allgather_schedule(cc, sends.front(), recvs,
+                                              cc.allgather_order(), combining)
+                   : build_alltoall_schedule(cc, sends, recvs, combining);
+}
+
 }  // namespace
 
 /// Internal factory assembling PersistentColl objects for all variants.
-/// `sends` holds one block per neighbor (alltoall) or the single shared
-/// send block (allgather).
+/// `sends` as for build_movement.
 class CollBuilder {
  public:
   static PersistentColl make(const CartNeighborComm& cc,
                              std::span<const SendBlock> sends,
                              std::span<const RecvBlock> recvs, bool allgather,
-                             DimOrder order, Algorithm alg) {
+                             Algorithm alg) {
     const bool combining = use_combining(cc, sends, allgather, alg);
     PersistentColl p;
     p.st_ = std::make_shared<detail::PersistentState>();
     detail::PersistentState& st = *p.st_;
     st.comm = cc.comm();
     st.alg = combining ? Algorithm::combining : Algorithm::trivial;
-    st.sched = allgather ? build_allgather_schedule(cc, sends.front(), recvs,
-                                                    order, combining)
-                         : build_alltoall_schedule(cc, sends, recvs, combining);
+    st.sched = build_movement(cc, sends, recvs, allgather, combining);
     return p;
   }
 };
@@ -115,160 +121,80 @@ const Schedule& PersistentColl::schedule() const {
 
 namespace {
 
-std::vector<SendBlock> sends_regular(const void* sendbuf, int count,
-                                     const mpl::Datatype& type, int t) {
-  std::vector<SendBlock> v(static_cast<std::size_t>(t));
+/// Per-neighbor descriptor lists, one per direction.
+struct Blocks {
+  std::vector<SendBlock> sends;
+  std::vector<RecvBlock> recvs;
+};
+
+/// The blocking one-shot calls of a rank run one at a time, so they fill
+/// one per-rank pair of lists in place. A block reassigned the datatype it
+/// already holds keeps its reference count, so a steady-state call neither
+/// allocates descriptors nor makes 2t atomic count updates. Like the
+/// executor's scratch, a working set keyed on nothing.
+Blocks& oneshot_blocks() {
+  thread_local Blocks b;
+  return b;
+}
+
+/// Set one block field by field (see oneshot_blocks).
+template <class Block, class Ptr>
+void set(Block& b, Ptr addr, int count, const mpl::Datatype& type) {
+  b.addr = addr;
+  b.count = count;
+  b.type = type;
+}
+
+/// `t` blocks of `count` elements of `type`, back to back.
+template <class Block, class Ptr>
+std::vector<Block>& regular(std::vector<Block>& v, Ptr buf, int count,
+                            const mpl::Datatype& type, int t) {
+  v.resize(static_cast<std::size_t>(t));
   for (int i = 0; i < t; ++i) {
-    v[static_cast<std::size_t>(i)] = {
-        at_bytes(sendbuf, static_cast<std::ptrdiff_t>(i) * count * type.extent()),
-        count, type};
+    set(v[static_cast<std::size_t>(i)],
+        at_bytes(buf, static_cast<std::ptrdiff_t>(i) * count * type.extent()),
+        count, type);
   }
   return v;
 }
 
-std::vector<RecvBlock> recvs_regular(void* recvbuf, int count,
-                                     const mpl::Datatype& type, int t) {
-  std::vector<RecvBlock> v(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) {
-    v[static_cast<std::size_t>(i)] = {
-        at_bytes(recvbuf, static_cast<std::ptrdiff_t>(i) * count * type.extent()),
-        count, type};
-  }
-  return v;
-}
-
-std::vector<SendBlock> sends_v(const void* sendbuf, std::span<const int> counts,
-                               std::span<const int> displs,
-                               const mpl::Datatype& type) {
-  std::vector<SendBlock> v(counts.size());
+/// The v variants: element counts and element displacements, one type.
+template <class Block, class Ptr>
+std::vector<Block>& blocks_v(std::vector<Block>& v, Ptr buf,
+                             std::span<const int> counts,
+                             std::span<const int> displs,
+                             const mpl::Datatype& type) {
+  v.resize(counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(sendbuf, displs[i] * type.extent()), counts[i], type};
+    set(v[i], at_bytes(buf, displs[i] * type.extent()), counts[i], type);
   }
   return v;
 }
 
-std::vector<RecvBlock> recvs_v(void* recvbuf, std::span<const int> counts,
-                               std::span<const int> displs,
-                               const mpl::Datatype& type) {
-  std::vector<RecvBlock> v(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(recvbuf, displs[i] * type.extent()), counts[i], type};
-  }
-  return v;
-}
-
-std::vector<SendBlock> sends_w(const void* sendbuf, std::span<const int> counts,
-                               std::span<const std::ptrdiff_t> displs,
-                               std::span<const mpl::Datatype> types) {
-  MPL_REQUIRE(counts.size() == displs.size() && counts.size() == types.size(),
-              "alltoallw: argument arity mismatch");
-  std::vector<SendBlock> v(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(sendbuf, displs[i]), counts[i], types[i]};
-  }
-  return v;
-}
-
-std::vector<RecvBlock> recvs_w(void* recvbuf, std::span<const int> counts,
-                               std::span<const std::ptrdiff_t> displs,
-                               std::span<const mpl::Datatype> types) {
+/// The w variants: element counts, byte displacements, a type per block.
+template <class Block, class Ptr>
+std::vector<Block>& blocks_w(std::vector<Block>& v, Ptr buf,
+                             std::span<const int> counts,
+                             std::span<const std::ptrdiff_t> displs,
+                             std::span<const mpl::Datatype> types) {
   MPL_REQUIRE(counts.size() == displs.size() && counts.size() == types.size(),
               "w-variant: argument arity mismatch");
-  std::vector<RecvBlock> v(counts.size());
+  v.resize(counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(recvbuf, displs[i]), counts[i], types[i]};
+    set(v[i], at_bytes(buf, displs[i]), counts[i], types[i]);
   }
   return v;
 }
 
-/// Blocking one-shot execution for the non-persistent entry points, via
-/// the bound-schedule cache (plan + rank + buffer addresses), so a repeated
-/// call with the same arguments skips schedule construction entirely.
-/// `sends` as for CollBuilder::make.
-std::shared_ptr<BoundSchedule> run_oneshot(const CartNeighborComm& cc,
-                                           std::span<const SendBlock> sends,
-                                           std::span<const RecvBlock> recvs,
-                                           bool allgather, DimOrder order,
-                                           Algorithm alg) {
-  const bool combining = use_combining(cc, sends, allgather, alg);
-  const std::shared_ptr<BoundSchedule> bound =
-      allgather ? build_allgather_schedule_shared(cc, sends.front(), recvs,
-                                                  order, combining)
-                : build_alltoall_schedule_shared(cc, sends, recvs, combining);
-  Schedule::Execution e = bound->sched.start(cc.comm(), bound->scratch);
-  e.wait();
-  return bound;
-}
-
-/// Per-thread fast path for the regular (single count/type) blocking
-/// collectives: when the same communicator, buffers, counts, types and
-/// algorithm repeat back to back, replay the previously bound schedule
-/// with zero per-call allocation — no descriptor vectors, no key words,
-/// no datatype rebuilds. One rank is one thread, so thread_local makes
-/// the memo private to its rank; the communicator uid guards against
-/// allocator address reuse of a destroyed communicator, and the
-/// plan-cache generation invalidates the memo when the cache is cleared
-/// or toggled. Correctness does not depend on the memo matching: a hit
-/// replays a schedule that a fresh bind of the same inputs would have
-/// reproduced bit-identically.
-struct OneShotMemo {
-  std::shared_ptr<BoundSchedule> bound;
-  std::uint64_t cc_uid = 0;
-  std::uint64_t generation = 0;
-  const void* sendbuf = nullptr;
-  void* recvbuf = nullptr;
-  int sendcount = 0;
-  int recvcount = 0;
-  mpl::Datatype sendtype;
-  mpl::Datatype recvtype;
-  bool allgather = false;
-  DimOrder order = DimOrder::increasing_ck;
-  Algorithm alg = Algorithm::automatic;
-};
-thread_local OneShotMemo oneshot_memo;
-
-void run_oneshot_regular(const CartNeighborComm& cc, const void* sendbuf,
-                         int sendcount, const mpl::Datatype& sendtype,
-                         void* recvbuf, int recvcount,
-                         const mpl::Datatype& recvtype, bool allgather,
-                         DimOrder order, Algorithm alg) {
-  OneShotMemo& m = oneshot_memo;
-  if (m.bound && plan_cache_enabled() &&
-      m.generation == plan_cache_generation() && m.cc_uid == cc.uid() &&
-      m.sendbuf == sendbuf && m.recvbuf == recvbuf &&
-      m.sendcount == sendcount && m.recvcount == recvcount &&
-      m.sendtype == sendtype && m.recvtype == recvtype &&
-      m.allgather == allgather && m.order == order && m.alg == alg) {
-    // A memo hit is a bound-schedule cache hit served one level earlier;
-    // counting it keeps "hits + misses == builds" exact.
-    telemetry::on_plan_cache_hit();
-    Schedule::Execution e = m.bound->sched.start(cc.comm(), m.bound->scratch);
-    e.wait();
-    return;
-  }
-  const int t = cc.neighborhood().count();
-  const std::vector<SendBlock> sends =
-      allgather ? std::vector<SendBlock>{{sendbuf, sendcount, sendtype}}
-                : sends_regular(sendbuf, sendcount, sendtype, t);
-  std::shared_ptr<BoundSchedule> bound =
-      run_oneshot(cc, sends, recvs_regular(recvbuf, recvcount, recvtype, t),
-                  allgather, order, alg);
-  if (!plan_cache_enabled()) {
-    m.bound.reset();
-    return;
-  }
-  m.bound = std::move(bound);
-  m.cc_uid = cc.uid();
-  m.generation = plan_cache_generation();
-  m.sendbuf = sendbuf;
-  m.recvbuf = recvbuf;
-  m.sendcount = sendcount;
-  m.recvcount = recvcount;
-  m.sendtype = sendtype;
-  m.recvtype = recvtype;
-  m.allgather = allgather;
-  m.order = order;
-  m.alg = alg;
+/// Blocking one-shot execution for the non-persistent entry points: one
+/// plan lookup, one bind, and an execution out of the rank's reusable
+/// scratch (Schedule::execute). `sends` as for build_movement.
+void run_oneshot(const CartNeighborComm& cc, std::span<const SendBlock> sends,
+                 std::span<const RecvBlock> recvs, bool allgather,
+                 Algorithm alg) {
+  build_movement(cc, sends, recvs, allgather,
+                 use_combining(cc, sends, allgather, alg))
+      .execute(cc.comm());
 }
 
 }  // namespace
@@ -280,9 +206,10 @@ PersistentColl alltoall_init(const void* sendbuf, int sendcount,
                              int recvcount, const mpl::Datatype& recvtype,
                              const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  return CollBuilder::make(cc, sends_regular(sendbuf, sendcount, sendtype, t),
-                           recvs_regular(recvbuf, recvcount, recvtype, t),
-                           false, cc.allgather_order(), alg);
+  Blocks b;
+  return CollBuilder::make(cc, regular(b.sends, sendbuf, sendcount, sendtype, t),
+                           regular(b.recvs, recvbuf, recvcount, recvtype, t),
+                           false, alg);
 }
 
 PersistentColl alltoallv_init(const void* sendbuf,
@@ -293,9 +220,10 @@ PersistentColl alltoallv_init(const void* sendbuf,
                               std::span<const int> rdispls,
                               const mpl::Datatype& recvtype,
                               const CartNeighborComm& cc, Algorithm alg) {
-  return CollBuilder::make(cc, sends_v(sendbuf, sendcounts, sdispls, sendtype),
-                           recvs_v(recvbuf, recvcounts, rdispls, recvtype),
-                           false, cc.allgather_order(), alg);
+  Blocks b;
+  return CollBuilder::make(
+      cc, blocks_v(b.sends, sendbuf, sendcounts, sdispls, sendtype),
+      blocks_v(b.recvs, recvbuf, recvcounts, rdispls, recvtype), false, alg);
 }
 
 PersistentColl alltoallw_init(const void* sendbuf,
@@ -306,17 +234,20 @@ PersistentColl alltoallw_init(const void* sendbuf,
                               std::span<const std::ptrdiff_t> rdispls_bytes,
                               std::span<const mpl::Datatype> recvtypes,
                               const CartNeighborComm& cc, Algorithm alg) {
+  Blocks b;
   return CollBuilder::make(
-      cc, sends_w(sendbuf, sendcounts, sdispls_bytes, sendtypes),
-      recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), false,
-      cc.allgather_order(), alg);
+      cc, blocks_w(b.sends, sendbuf, sendcounts, sdispls_bytes, sendtypes),
+      blocks_w(b.recvs, recvbuf, recvcounts, rdispls_bytes, recvtypes), false,
+      alg);
 }
 
 void alltoall(const void* sendbuf, int sendcount, const mpl::Datatype& sendtype,
               void* recvbuf, int recvcount, const mpl::Datatype& recvtype,
               const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot_regular(cc, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                      recvtype, false, cc.allgather_order(), alg);
+  const int t = cc.neighbor_count();
+  Blocks& b = oneshot_blocks();
+  run_oneshot(cc, regular(b.sends, sendbuf, sendcount, sendtype, t),
+              regular(b.recvs, recvbuf, recvcount, recvtype, t), false, alg);
 }
 
 void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
@@ -324,9 +255,10 @@ void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
                void* recvbuf, std::span<const int> recvcounts,
                std::span<const int> rdispls, const mpl::Datatype& recvtype,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(cc, sends_v(sendbuf, sendcounts, sdispls, sendtype),
-              recvs_v(recvbuf, recvcounts, rdispls, recvtype), false,
-              cc.allgather_order(), alg);
+  Blocks& b = oneshot_blocks();
+  run_oneshot(cc, blocks_v(b.sends, sendbuf, sendcounts, sdispls, sendtype),
+              blocks_v(b.recvs, recvbuf, recvcounts, rdispls, recvtype), false,
+              alg);
 }
 
 void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
@@ -336,9 +268,11 @@ void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
                std::span<const std::ptrdiff_t> rdispls_bytes,
                std::span<const mpl::Datatype> recvtypes,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(cc, sends_w(sendbuf, sendcounts, sdispls_bytes, sendtypes),
-              recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), false,
-              cc.allgather_order(), alg);
+  Blocks& b = oneshot_blocks();
+  run_oneshot(cc,
+              blocks_w(b.sends, sendbuf, sendcounts, sdispls_bytes, sendtypes),
+              blocks_w(b.recvs, recvbuf, recvcounts, rdispls_bytes, recvtypes),
+              false, alg);
 }
 
 // -- allgather family ---------------------------------------------------------
@@ -348,10 +282,11 @@ PersistentColl allgather_init(const void* sendbuf, int sendcount,
                               int recvcount, const mpl::Datatype& recvtype,
                               const CartNeighborComm& cc, Algorithm alg) {
   const SendBlock send{sendbuf, sendcount, sendtype};
+  std::vector<RecvBlock> recvs;
   return CollBuilder::make(
-      cc, {&send, 1}, recvs_regular(recvbuf, recvcount, recvtype,
-                                    cc.neighbor_count()),
-      true, cc.allgather_order(), alg);
+      cc, {&send, 1},
+      regular(recvs, recvbuf, recvcount, recvtype, cc.neighbor_count()), true,
+      alg);
 }
 
 PersistentColl allgatherv_init(const void* sendbuf, int sendcount,
@@ -361,9 +296,10 @@ PersistentColl allgatherv_init(const void* sendbuf, int sendcount,
                                const mpl::Datatype& recvtype,
                                const CartNeighborComm& cc, Algorithm alg) {
   const SendBlock send{sendbuf, sendcount, sendtype};
-  return CollBuilder::make(cc, {&send, 1},
-                           recvs_v(recvbuf, recvcounts, displs, recvtype), true,
-                           cc.allgather_order(), alg);
+  std::vector<RecvBlock> recvs;
+  return CollBuilder::make(
+      cc, {&send, 1}, blocks_v(recvs, recvbuf, recvcounts, displs, recvtype),
+      true, alg);
 }
 
 PersistentColl allgatherw_init(const void* sendbuf, int sendcount,
@@ -373,17 +309,22 @@ PersistentColl allgatherw_init(const void* sendbuf, int sendcount,
                                std::span<const mpl::Datatype> recvtypes,
                                const CartNeighborComm& cc, Algorithm alg) {
   const SendBlock send{sendbuf, sendcount, sendtype};
+  std::vector<RecvBlock> recvs;
   return CollBuilder::make(
-      cc, {&send, 1}, recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes),
-      true, cc.allgather_order(), alg);
+      cc, {&send, 1},
+      blocks_w(recvs, recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
+      alg);
 }
 
 void allgather(const void* sendbuf, int sendcount,
                const mpl::Datatype& sendtype, void* recvbuf, int recvcount,
                const mpl::Datatype& recvtype, const CartNeighborComm& cc,
                Algorithm alg) {
-  run_oneshot_regular(cc, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                      recvtype, true, cc.allgather_order(), alg);
+  const SendBlock send{sendbuf, sendcount, sendtype};
+  run_oneshot(cc, {&send, 1},
+              regular(oneshot_blocks().recvs, recvbuf, recvcount, recvtype,
+                      cc.neighbor_count()),
+              true, alg);
 }
 
 void allgatherv(const void* sendbuf, int sendcount,
@@ -392,8 +333,10 @@ void allgatherv(const void* sendbuf, int sendcount,
                 const mpl::Datatype& recvtype, const CartNeighborComm& cc,
                 Algorithm alg) {
   const SendBlock send{sendbuf, sendcount, sendtype};
-  run_oneshot(cc, {&send, 1}, recvs_v(recvbuf, recvcounts, displs, recvtype),
-              true, cc.allgather_order(), alg);
+  run_oneshot(cc, {&send, 1},
+              blocks_v(oneshot_blocks().recvs, recvbuf, recvcounts, displs,
+                       recvtype),
+              true, alg);
 }
 
 void allgatherw(const void* sendbuf, int sendcount,
@@ -404,8 +347,9 @@ void allgatherw(const void* sendbuf, int sendcount,
                 const CartNeighborComm& cc, Algorithm alg) {
   const SendBlock send{sendbuf, sendcount, sendtype};
   run_oneshot(cc, {&send, 1},
-              recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
-              cc.allgather_order(), alg);
+              blocks_w(oneshot_blocks().recvs, recvbuf, recvcounts,
+                       rdispls_bytes, recvtypes),
+              true, alg);
 }
 
 }  // namespace cartcomm

@@ -2,6 +2,7 @@
 // cache (see plan.hpp for the design overview).
 #include "cartcomm/plan.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -41,43 +42,76 @@ Schedule CompiledPlan::bind_impl(const CartNeighborComm& cc,
   const mpl::CartGrid& grid = cc.grid();
   const std::span<const int> R = cc.coords();
 
-  ScheduleBuilder builder;
-  builder.set_grid(grid);
-  std::byte* temp = builder.allocate_temp(temp_bytes_);
-
-  auto append = [&](mpl::TypeBuilder& tb, const PlanPlacement& p) {
+  // Counting pass: an upper bound on every type's block list (merging
+  // with the previous block only shortens it) and the round offsets, so
+  // one arena holds every round and copy type, the temp pool and the
+  // offsets.
+  auto block_bound = [&](const PlanPlacement& p) -> std::size_t {
+    const std::size_t ui = static_cast<std::size_t>(p.index);
     switch (p.kind) {
-      case PlanPlacement::Kind::send_block: {
-        const std::size_t ui = static_cast<std::size_t>(p.index);
-        tb.append(sends[ui].addr, sends[ui].count, sends[ui].type);
-        break;
-      }
-      case PlanPlacement::Kind::recv_block: {
-        const std::size_t ui = static_cast<std::size_t>(p.index);
-        tb.append(recvs[ui].addr, recvs[ui].count, recvs[ui].type);
-        break;
-      }
+      case PlanPlacement::Kind::send_block:
+        return mpl::TypeArena::block_bound(sends[ui].count, sends[ui].type);
+      case PlanPlacement::Kind::recv_block:
+        return mpl::TypeArena::block_bound(recvs[ui].count, recvs[ui].type);
       case PlanPlacement::Kind::temp:
-        tb.append_bytes(temp + p.offset, p.bytes);
+        return 1;
+    }
+    return 0;
+  };
+  std::size_t blocks = 0;
+  std::size_t offset_ints = 0;
+  for (const PlanRound& r : rounds_) {
+    for (const PlanPlacement& p : r.send_items) blocks += block_bound(p);
+    for (const PlanPlacement& p : r.recv_items) blocks += block_bound(p);
+    offset_ints += r.offset.size();
+  }
+  for (const PlanCopy& c : copies_) {
+    blocks += block_bound(c.src) + block_bound(c.dst);
+  }
+  const std::size_t temp_span =
+      (temp_bytes_ + alignof(int) - 1) / alignof(int) * alignof(int);
+  mpl::TypeArena arena(2 * (rounds_.size() + copies_.size()), blocks,
+                       temp_span + offset_ints * sizeof(int));
+  std::byte* const temp = arena.extra();
+  int* offsets = reinterpret_cast<int*>(temp + temp_span);
+
+  ScheduleBuilder builder;
+  builder.set_grid(grid_);
+  builder.set_storage(arena.owner(), temp_bytes_);
+  builder.reserve(rounds_.size(), phase_rounds_.size(), copies_.size(),
+                  op != nullptr ? folds_.size() : 0);
+
+  auto append = [&](const PlanPlacement& p) {
+    const std::size_t ui = static_cast<std::size_t>(p.index);
+    switch (p.kind) {
+      case PlanPlacement::Kind::send_block:
+        arena.append(sends[ui].addr, sends[ui].count, sends[ui].type);
+        break;
+      case PlanPlacement::Kind::recv_block:
+        arena.append(recvs[ui].addr, recvs[ui].count, recvs[ui].type);
+        break;
+      case PlanPlacement::Kind::temp:
+        arena.append_bytes(temp + p.offset, p.bytes);
         break;
     }
   };
 
   std::size_t ri = 0;
-  std::vector<int> neg;
   for (const int phase_count : phase_rounds_) {
     for (int x = 0; x < phase_count; ++x, ++ri) {
       const PlanRound& r = rounds_[ri];
-      mpl::TypeBuilder sb, rb;
-      for (const PlanPlacement& p : r.send_items) append(sb, p);
-      for (const PlanPlacement& p : r.recv_items) append(rb, p);
+      for (const PlanPlacement& p : r.send_items) append(p);
+      mpl::Datatype sendtype = arena.build();
+      for (const PlanPlacement& p : r.recv_items) append(p);
+      mpl::Datatype recvtype = arena.build();
+      const std::span<const int> offset(offsets, r.offset.size());
+      offsets = std::copy(r.offset.begin(), r.offset.end(), offsets);
       const int sendrank = grid.rank_at_offset(R, r.offset);
-      neg.assign(r.offset.begin(), r.offset.end());
-      for (int& v : neg) v = -v;
-      const int recvrank = grid.rank_at_offset(R, neg);
+      const int recvrank = grid.rank_at_offset(R, r.offset, -1);
       // rank_at_offset yields PROC_NULL exactly when the offset leaves a
       // non-periodic mesh, so a null partner here is a provable boundary.
-      builder.add_round({sendrank, recvrank, sb.build(), rb.build(), r.offset,
+      builder.add_round({sendrank, recvrank, std::move(sendtype),
+                         std::move(recvtype), offset,
                          sendrank == mpl::PROC_NULL,
                          recvrank == mpl::PROC_NULL, r.reduce},
                         r.blocks_sent);
@@ -85,10 +119,10 @@ Schedule CompiledPlan::bind_impl(const CartNeighborComm& cc,
     builder.end_phase();
   }
   for (const PlanCopy& c : copies_) {
-    mpl::TypeBuilder sb, rb;
-    append(sb, c.src);
-    append(rb, c.dst);
-    builder.add_copy(sb.build(), rb.build());
+    append(c.src);
+    mpl::Datatype src = arena.build();
+    append(c.dst);
+    builder.add_copy(std::move(src), arena.build());
   }
   if (op != nullptr) {
     // Resolve the fold program against the same buffers. The reduce entry
@@ -145,6 +179,33 @@ std::int64_t type_digest(const mpl::Datatype& type, int count) {
   return static_cast<std::int64_t>(h);
 }
 
+/// type_digest that reuses its last result: the blocks of a call usually
+/// share one datatype and count, so a t-block key digests it once.
+class RepeatDigest {
+ public:
+  std::int64_t operator()(const mpl::Datatype& type, int count) {
+    if (type_ == nullptr || !(*type_ == type) || count_ != count) {
+      type_ = &type;
+      count_ = count;
+      digest_ = type_digest(type, count);
+    }
+    return digest_;
+  }
+
+ private:
+  const mpl::Datatype* type_ = nullptr;
+  int count_ = 0;
+  std::int64_t digest_ = 0;
+};
+
+/// Words append_common adds.
+std::size_t common_words(const CartNeighborComm& cc) {
+  const Neighborhood& nb = cc.neighborhood();
+  const auto d = static_cast<std::size_t>(nb.ndims());
+  const auto t = static_cast<std::size_t>(nb.count());
+  return 2 + 4 * d + t * d;
+}
+
 /// Everything both collectives share: topology, position class, and the
 /// neighborhood itself.
 void append_common(std::vector<std::int64_t>& w, const CartNeighborComm& cc) {
@@ -157,20 +218,31 @@ void append_common(std::vector<std::int64_t>& w, const CartNeighborComm& cc) {
     w.push_back(g.dims()[static_cast<std::size_t>(j)]);
     w.push_back(g.periodic(j) ? 1 : 0);
   }
-  for (const int s : cc.boundary_signature()) w.push_back(s);
+  const std::vector<int> sig = cc.boundary_signature();
+  w.insert(w.end(), sig.begin(), sig.end());
   w.push_back(t);
-  for (const int c : nb.flat()) w.push_back(c);
+  w.insert(w.end(), nb.flat().begin(), nb.flat().end());
 }
 
 PlanKey seal(std::vector<std::int64_t> w) {
   PlanKey key;
   key.words = std::move(w);
-  std::uint64_t h = kFnvOffset;
-  for (const std::int64_t x : key.words) {
-    h ^= static_cast<std::uint64_t>(x);
-    h *= kFnvPrime;
+  // FNV over four interleaved lanes: keys run to several hundred words
+  // and a single lane is one serial multiply chain.
+  std::uint64_t h[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                        kFnvOffset + 3};
+  const std::vector<std::int64_t>& v = key.words;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::uint64_t& lane = h[i % 4];
+    lane ^= static_cast<std::uint64_t>(v[i]);
+    lane *= kFnvPrime;
   }
-  key.hash = static_cast<std::size_t>(h);
+  std::uint64_t all = kFnvOffset;
+  for (const std::uint64_t x : h) {
+    all ^= x;
+    all *= kFnvPrime;
+  }
+  key.hash = static_cast<std::size_t>(all);
   return key;
 }
 
@@ -180,15 +252,15 @@ PlanKey make_alltoall_key(const CartNeighborComm& cc,
                           std::span<const SendBlock> sends,
                           std::span<const RecvBlock> recvs, bool combining) {
   std::vector<std::int64_t> w;
-  w.reserve(9 + static_cast<std::size_t>(cc.neighborhood().count()) *
-                    (static_cast<std::size_t>(cc.neighborhood().ndims()) + 3));
+  w.reserve(common_words(cc) + 2 + 3 * sends.size());
   w.push_back(1);  // collective kind: alltoall
   w.push_back(combining ? 1 : 0);
   append_common(w, cc);
+  RepeatDigest send_digest, recv_digest;
   for (std::size_t i = 0; i < sends.size(); ++i) {
     w.push_back(static_cast<std::int64_t>(sends[i].bytes()));
-    w.push_back(type_digest(sends[i].type, sends[i].count));
-    w.push_back(type_digest(recvs[i].type, recvs[i].count));
+    w.push_back(send_digest(sends[i].type, sends[i].count));
+    w.push_back(recv_digest(recvs[i].type, recvs[i].count));
   }
   return seal(std::move(w));
 }
@@ -197,15 +269,15 @@ PlanKey make_allgather_key(const CartNeighborComm& cc, const SendBlock& send,
                            std::span<const RecvBlock> recvs, DimOrder order,
                            bool combining) {
   std::vector<std::int64_t> w;
-  w.reserve(11 + static_cast<std::size_t>(cc.neighborhood().count()) *
-                     (static_cast<std::size_t>(cc.neighborhood().ndims()) + 1));
+  w.reserve(common_words(cc) + 5 + recvs.size());
   w.push_back(2);  // collective kind: allgather
   w.push_back(combining ? 1 : 0);
   append_common(w, cc);
   w.push_back(static_cast<std::int64_t>(order));
   w.push_back(static_cast<std::int64_t>(send.bytes()));
   w.push_back(type_digest(send.type, send.count));
-  for (const RecvBlock& r : recvs) w.push_back(type_digest(r.type, r.count));
+  RepeatDigest recv_digest;
+  for (const RecvBlock& r : recvs) w.push_back(recv_digest(r.type, r.count));
   return seal(std::move(w));
 }
 
@@ -213,8 +285,7 @@ PlanKey make_reduce_key(const CartNeighborComm& cc, ReduceVariant variant,
                         bool combining, DimOrder order, const SendBlock& send,
                         const mpl::ReduceOp& op) {
   std::vector<std::int64_t> w;
-  w.reserve(12 + static_cast<std::size_t>(cc.neighborhood().count()) *
-                     (static_cast<std::size_t>(cc.neighborhood().ndims()) + 1));
+  w.reserve(common_words(cc) + 8);
   w.push_back(4);  // collective kind: reduction family
   append_common(w, cc);
   w.push_back(static_cast<std::int64_t>(variant));
@@ -255,29 +326,6 @@ std::array<PlanCacheShard, kShards>& shards() {
 }
 
 PlanCacheShard& shard_for(std::size_t hash) { return shards()[hash % kShards]; }
-
-// Bound-schedule shards: same shape, same lock level (both leaves; the two
-// cache levels are never locked together — a bound miss releases its shard
-// before the compiled-plan lookup runs).
-struct SchedCacheEntry {
-  std::shared_ptr<BoundSchedule> bound;
-  std::uint64_t tick = 0;
-};
-
-struct SchedCacheShard {
-  mpl::detail::PlanCacheMutex mtx_;
-  std::unordered_map<PlanKey, SchedCacheEntry, KeyHash> map_
-      MPL_GUARDED_BY(mtx_);
-};
-
-std::array<SchedCacheShard, kShards>& sched_shards() {
-  static std::array<SchedCacheShard, kShards> s;
-  return s;
-}
-
-SchedCacheShard& sched_shard_for(std::size_t hash) {
-  return sched_shards()[hash % kShards];
-}
 
 std::atomic<std::uint64_t>& tick_source() {
   static std::atomic<std::uint64_t> t{0};
@@ -328,20 +376,8 @@ bool plan_cache_enabled() {
   return config().enabled.load(std::memory_order_relaxed);
 }
 
-namespace {
-std::atomic<std::uint64_t>& generation_source() {
-  static std::atomic<std::uint64_t> g{0};
-  return g;
-}
-}  // namespace
-
-std::uint64_t plan_cache_generation() {
-  return generation_source().load(std::memory_order_relaxed);
-}
-
 void plan_cache_set_enabled(bool on) {
   config().enabled.store(on, std::memory_order_relaxed);
-  generation_source().fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t plan_cache_cap() {
@@ -427,67 +463,6 @@ void plan_cache_clear() {
     sh.map_.clear();
   }
   telemetry::on_plan_cache_drop(dropped);
-  for (SchedCacheShard& sh : sched_shards()) {
-    mpl::detail::CheckedLock lock(sh.mtx_);
-    sh.map_.clear();  // auxiliary entries: not in the gauge
-  }
-  generation_source().fetch_add(1, std::memory_order_relaxed);
-}
-
-PlanKey make_bound_key(const PlanKey& plan, int rank,
-                       std::span<const SendBlock> sends,
-                       std::span<const RecvBlock> recvs) {
-  std::vector<std::int64_t> w;
-  w.reserve(3 + sends.size() + recvs.size());
-  w.push_back(3);  // key kind: bound schedule
-  w.push_back(static_cast<std::int64_t>(plan.hash));
-  w.push_back(rank);
-  for (const SendBlock& b : sends) {
-    w.push_back(
-        static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(b.addr)));
-  }
-  for (const RecvBlock& b : recvs) {
-    w.push_back(
-        static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(b.addr)));
-  }
-  return seal(std::move(w));
-}
-
-std::shared_ptr<BoundSchedule> schedule_cache_lookup(const PlanKey& key) {
-  if (!plan_cache_enabled()) return nullptr;  // bypass: not counted
-  SchedCacheShard& sh = sched_shard_for(key.hash);
-  mpl::detail::CheckedLock lock(sh.mtx_);
-  auto it = sh.map_.find(key);
-  if (it == sh.map_.end()) return nullptr;  // the plan lookup counts the miss
-  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
-  telemetry::on_plan_cache_hit();
-  return it->second.bound;
-}
-
-std::shared_ptr<BoundSchedule> schedule_cache_store(const PlanKey& key,
-                                                    Schedule&& sched) {
-  auto sp = std::make_shared<BoundSchedule>();
-  sp->sched = std::move(sched);
-  if (!plan_cache_enabled()) return sp;
-  SchedCacheShard& sh = sched_shard_for(key.hash);
-  mpl::detail::CheckedLock lock(sh.mtx_);
-  auto [it, inserted] = sh.map_.try_emplace(key);
-  if (!inserted) return it->second.bound;  // concurrent bind: first wins
-  it->second.bound = sp;
-  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::size_t cap = per_shard_cap();
-  while (cap != 0 && sh.map_.size() > cap) {
-    auto victim = sh.map_.end();
-    for (auto e = sh.map_.begin(); e != sh.map_.end(); ++e) {
-      if (e == it) continue;
-      if (victim == sh.map_.end() || e->second.tick < victim->second.tick) {
-        victim = e;
-      }
-    }
-    if (victim == sh.map_.end()) break;
-    sh.map_.erase(victim);  // auxiliary: no eviction counter
-  }
-  return sp;
 }
 
 }  // namespace cartcomm

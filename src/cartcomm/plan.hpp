@@ -16,13 +16,17 @@
 //   bind     — replays the placement program against concrete buffers:
 //              builds the absolute datatypes (in exactly the recorded
 //              append order, so bound schedules are bit-identical to ones
-//              built directly), allocates the temp pool, and resolves the
-//              partner ranks from this process' grid position.
+//              built directly), lays out the temp pool, and resolves the
+//              partner ranks from this process' grid position. A counting
+//              pass sizes one allocation (mpl::TypeArena) for every round
+//              and copy type, the temp pool and the round offsets, so a
+//              bind makes the same few heap allocations whatever the
+//              round and block count.
 //
 // Repeated non-persistent collective calls therefore skip the O(t·d)
-// construction entirely: the plan comes from a concurrent sharded cache
-// keyed by the canonical neighborhood signature (see PlanKey), and only
-// the bind runs per call. MPL_PLAN_CACHE=0 disables the cache,
+// construction entirely: every call does one lookup in a concurrent
+// sharded cache keyed by the canonical neighborhood signature (see
+// PlanKey) and one bind. MPL_PLAN_CACHE=0 disables the cache,
 // MPL_PLAN_CACHE_CAP bounds its size (approximate LRU eviction).
 #pragma once
 
@@ -117,12 +121,18 @@ class CompiledPlan {
   std::vector<PlanCopy> copies_;
   std::vector<PlanFold> folds_;
   std::size_t temp_bytes_ = 0;
+  // The key fixes dims and periods, so every bound schedule can share it.
+  std::shared_ptr<const mpl::CartGrid> grid_;
 };
 
 /// Incremental recorder used by the compile functions; mirrors
 /// ScheduleBuilder so compile code reads like the original build code.
 class PlanBuilder {
  public:
+  explicit PlanBuilder(const mpl::CartGrid& grid) {
+    p_.grid_ = std::make_shared<const mpl::CartGrid>(grid);
+  }
+
   /// Reserve a temp-pool range; returns its byte offset.
   std::size_t allocate_temp(std::size_t bytes) {
     const std::size_t off = p_.temp_bytes_;
@@ -131,6 +141,8 @@ class PlanBuilder {
   }
 
   void add_round(PlanRound r) {
+    merge_temp_runs(r.send_items);
+    merge_temp_runs(r.recv_items);
     p_.rounds_.push_back(std::move(r));
     ++open_phase_rounds_;
   }
@@ -153,6 +165,23 @@ class PlanBuilder {
   }
 
  private:
+  /// Fuse back-to-back temp placements that are adjacent in the pool. The
+  /// pool is one contiguous range, so bind would merge their blocks into
+  /// one anyway; fusing them here leaves it fewer placements to visit.
+  static void merge_temp_runs(std::vector<PlanPlacement>& items) {
+    std::size_t out = 0;
+    for (const PlanPlacement& p : items) {
+      if (out > 0 && p.kind == PlanPlacement::Kind::temp &&
+          items[out - 1].kind == PlanPlacement::Kind::temp &&
+          items[out - 1].offset + items[out - 1].bytes == p.offset) {
+        items[out - 1].bytes += p.bytes;
+      } else {
+        items[out++] = p;
+      }
+    }
+    items.resize(out);
+  }
+
   CompiledPlan p_;
   int open_phase_rounds_ = 0;
 };
@@ -191,11 +220,9 @@ struct PlanKey {
 /// (the source contributes its i-th block toward neighbor i).
 enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
 
-/// Key for a reducing plan. Includes the op *digest* — plan structure does
-/// not depend on the fold function, but the digest separates element sizes
-/// and (for user ops) op instances so the bound-schedule cache, which
-/// embeds the op, can never serve a schedule folding with the wrong
-/// function.
+/// Key for a reducing plan. Includes the op *digest*: plan structure does
+/// not depend on the fold function, but the digest separates element sizes,
+/// and each user op instance gets its own plan.
 [[nodiscard]] PlanKey make_reduce_key(const CartNeighborComm& cc,
                                       ReduceVariant variant, bool combining,
                                       DimOrder order, const SendBlock& send,
@@ -232,9 +259,10 @@ enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
 // Process-global (ranks are threads of one process) and sharded by key
 // hash; each shard is a small map under its own CheckedMutex at
 // LockLevel::plan_cache. plan_cache_resolve is the cache interface used by
-// the build_*_schedule entry points; the remaining functions are test and
-// tooling knobs. Compiles are single-flight: a miss compiles while holding
-// its shard lock, so concurrent missers of the same key wait and then hit.
+// the build_*_schedule entry points, once per build, so hits + misses
+// counts every build; the remaining functions are test and tooling knobs.
+// Compiles are single-flight: a miss compiles while holding its shard
+// lock, so concurrent missers of the same key wait and then hit.
 // The lock stays a leaf because compile steps are pure and take no lock
 // (binding happens outside the lock).
 
@@ -264,50 +292,5 @@ void plan_cache_set_cap(std::size_t cap);
 
 /// Drop every cached plan (tests; outstanding shared_ptrs stay valid).
 void plan_cache_clear();
-
-/// Monotonic counter bumped by plan_cache_clear() and
-/// plan_cache_set_enabled(); per-thread fast-path memos compare it to
-/// notice that cached state was invalidated behind their back.
-[[nodiscard]] std::uint64_t plan_cache_generation();
-
-// -- bound-schedule cache -----------------------------------------------------
-//
-// Second cache level, used by the blocking one-shot collectives only: a
-// compiled plan already bound to one rank's concrete buffers. Keyed by the
-// plan key's hash plus the calling rank and every block address, so an
-// entry can only be served where a fresh bind would have produced the
-// bit-identical Schedule — bind is deterministic in exactly those inputs,
-// which also makes address reuse (free + re-malloc at the same address
-// with the same signature) harmless. Sharing is safe because the one-shot
-// path runs to completion on the single thread that owns the buffers
-// before returning; the persistent path keeps its own private Schedule
-// (two interleaved persistent executions must not share a temp pool).
-
-/// A bound schedule plus its reusable execution working set. The scratch
-/// may be mutated by whichever thread executes the schedule; that is safe
-/// because only the thread owning the keyed buffer addresses can reach
-/// the entry, and the blocking one-shot call cannot overlap itself.
-struct BoundSchedule {
-  Schedule sched;
-  ExecutionScratch scratch;
-};
-
-/// Key for a bound schedule: `plan` identity + rank + block addresses.
-[[nodiscard]] PlanKey make_bound_key(const PlanKey& plan, int rank,
-                                     std::span<const SendBlock> sends,
-                                     std::span<const RecvBlock> recvs);
-
-/// Cached bound schedule, or null. A hit counts as a plan-cache hit (the
-/// plan was implicitly found too); a miss is left to the compiled-plan
-/// lookup that follows, so every build counts exactly once.
-[[nodiscard]] std::shared_ptr<BoundSchedule> schedule_cache_lookup(
-    const PlanKey& key);
-
-/// Publish a bound schedule. First insert wins; evicts approximately-LRU
-/// under the same per-shard cap as compiled plans. Bound entries are
-/// auxiliary: they do not appear in plan_cache_size() or the entries
-/// gauge, and plan_cache_clear() drops them too.
-[[nodiscard]] std::shared_ptr<BoundSchedule> schedule_cache_store(
-    const PlanKey& key, Schedule&& sched);
 
 }  // namespace cartcomm

@@ -40,7 +40,8 @@ Algorithm resolve_reduce(const CartNeighborComm& cc, const mpl::ReduceOp& op,
 /// The allreduce is a reduce over the neighborhood with the zero vector
 /// included: append it (at the end, so existing neighbor indices keep
 /// their meaning) when absent. Purely local — every process derives the
-/// identical augmented neighborhood, preserving isomorphism.
+/// identical augmented neighborhood, preserving isomorphism. The one-shot
+/// allreduce skips this copy when the zero vector is already there.
 CartNeighborComm with_self(const CartNeighborComm& cc) {
   const Neighborhood& nb = cc.neighborhood();
   if (nb.contains_zero_vector()) return cc;
@@ -76,10 +77,9 @@ std::vector<SendBlock> reduce_sends(const void* sendbuf, int count,
   return v;
 }
 
-/// Blocking one-shot execution. Both algorithms are schedule-native, so
-/// both go through the bound-schedule cache: a repeated call with the same
-/// communicator, buffers and op replays the bound schedule without
-/// compiling or binding anything.
+/// Blocking one-shot execution. Both algorithms are schedule-native, so a
+/// call is one plan lookup, one bind, and an execution out of the rank's
+/// reusable scratch (Schedule::execute).
 int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
                        void* recvbuf, int count, const mpl::Datatype& type,
                        const mpl::ReduceOp& op, ReduceVariant variant,
@@ -89,10 +89,8 @@ int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
   const std::vector<SendBlock> sends =
       reduce_sends(sendbuf, count, type, variant, cc.neighborhood().count());
   const RecvBlock recv{recvbuf, count, type};
-  const std::shared_ptr<BoundSchedule> bound = build_reduce_schedule_shared(
-      cc, sends, recv, op, variant, combining, order);
-  Schedule::Execution e = bound->sched.start(cc.comm(), bound->scratch);
-  e.wait();
+  build_reduce_schedule(cc, sends, recv, op, variant, combining, order)
+      .execute(cc.comm());
   return contribution_blocks(cc);
 }
 
@@ -135,8 +133,11 @@ int cart_neighbor_allreduce(const void* sendbuf, void* recvbuf, int count,
                             const mpl::Datatype& type, const mpl::ReduceOp& op,
                             const CartNeighborComm& cc, Algorithm alg,
                             DimOrder order) {
-  const CartNeighborComm acc = with_self(cc);
-  return run_reduce_oneshot(acc, sendbuf, recvbuf, count, type, op,
+  if (cc.neighborhood().contains_zero_vector()) {
+    return run_reduce_oneshot(cc, sendbuf, recvbuf, count, type, op,
+                              ReduceVariant::reduce, alg, order);
+  }
+  return run_reduce_oneshot(with_self(cc), sendbuf, recvbuf, count, type, op,
                             ReduceVariant::reduce, alg, order);
 }
 

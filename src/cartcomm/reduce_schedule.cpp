@@ -112,7 +112,7 @@ CompiledPlan compile_reduce_trivial(const CartNeighborComm& cc,
     return true;
   };
 
-  PlanBuilder builder;
+  PlanBuilder builder(cc.grid());
   bool inited = false;
   auto fold_into_recv = [&](PlanPlacement src) {
     PlanFold f;
@@ -231,7 +231,7 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
     }
   }
 
-  PlanBuilder builder;
+  PlanBuilder builder(cc.grid());
   builder.allocate_temp(static_cast<std::size_t>(temp_slots) * m);
 
   std::vector<char> inited(static_cast<std::size_t>(temp_slots) + 1, 0);
@@ -412,22 +412,6 @@ Schedule build_reduce_schedule(const CartNeighborComm& cc,
   const RecvBlock recvs[1] = {recv};
   return reduce_plan(cc, a, variant, combining, order)
       ->bind(cc, sends, recvs, op);
-}
-
-std::shared_ptr<BoundSchedule> build_reduce_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    const RecvBlock& recv, const mpl::ReduceOp& op, ReduceVariant variant,
-    bool combining, DimOrder order) {
-  const ReduceArgs a =
-      reduce_key_checked(cc, sends, recv, op, variant, combining, order);
-  const RecvBlock recvs[1] = {recv};
-  const PlanKey bkey = make_bound_key(a.key, cc.comm().rank(), sends, recvs);
-  if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
-    return s;
-  }
-  return schedule_cache_store(bkey,
-                              reduce_plan(cc, a, variant, combining, order)
-                                  ->bind(cc, sends, recvs, op));
 }
 
 }  // namespace cartcomm

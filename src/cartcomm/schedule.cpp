@@ -39,12 +39,12 @@ void Schedule::execute(const mpl::Comm& comm) const {
   // Listing 5: within each phase all rounds are independent — launch them
   // with non-blocking operations and wait for the whole phase. Blocking
   // execution is exactly a non-blocking execution driven to completion,
-  // so all instrumentation lives in Execution.
-  start(comm).wait();
-}
-
-Schedule::Execution Schedule::start(const mpl::Comm& comm) const {
-  return Execution(this, comm, nullptr);
+  // so all instrumentation lives in Execution. One rank is one thread and
+  // a blocking execution returns before the next starts, so the rank's
+  // executions share one working set; slot recycling checks that a state
+  // is idle before reusing it, so a scratch left behind by a throw is safe.
+  thread_local ExecutionScratch scratch;
+  start(comm, scratch).wait();
 }
 
 Schedule::Execution Schedule::start(const mpl::Comm& comm,
@@ -55,16 +55,14 @@ Schedule::Execution Schedule::start(const mpl::Comm& comm,
 Schedule::Execution::Execution(const Schedule* s, const mpl::Comm& comm,
                                ExecutionScratch* scratch)
     : sched_(s), comm_(comm), scratch_(scratch), done_(false) {
-  if (scratch_) {
-    // Fresh execution over retained capacity: requests of the previous
-    // execution are complete (its wait() returned), slots stay populated
-    // for recycling.
-    scratch_->pending.clear();
-    scratch_->pending_round.clear();
-    scratch_->sends.clear();
-    scratch_->head = 0;
-    scratch_->next_slot = 0;
-  }
+  // Fresh execution over retained capacity: requests of the previous
+  // execution are complete (its wait() returned) or abandoned by a throw,
+  // and slots stay populated for recycling.
+  scratch_->pending.clear();
+  scratch_->pending_round.clear();
+  scratch_->sends.clear();
+  scratch_->head = 0;
+  scratch_->next_slot = 0;
   rec_ = &comm.proc().recorder();
   // The ordinal is per rank thread, so a stall report can line up
   // "execution #k" across ranks.
@@ -117,7 +115,7 @@ void Schedule::Execution::apply_folds(int below) {
   }
 }
 
-// The scratch's request-state slot for the next post (persistent mode).
+// The scratch's request-state slot for the next post.
 std::shared_ptr<mpl::detail::ReqState>& Schedule::Execution::next_slot() {
   ExecutionScratch& s = *scratch_;
   if (s.slots.size() <= s.next_slot) s.slots.resize(s.next_slot + 1);
@@ -125,7 +123,7 @@ std::shared_ptr<mpl::detail::ReqState>& Schedule::Execution::next_slot() {
 }
 
 void Schedule::Execution::post_phase() {
-  ExecutionScratch& s = sc();
+  ExecutionScratch& s = *scratch_;
   // Post phases until one has pending receives or sends (or all work is
   // done). A phase's by-reference sends drain with its receives: the next
   // phase's receives and folds may overwrite bytes they read.
@@ -146,16 +144,11 @@ void Schedule::Execution::post_phase() {
       rec_->on_round(comm_.state()->ctx, static_cast<int>(phase_), j);
       if (r.recvrank != mpl::PROC_NULL && r.recvtype.valid() &&
           r.recvtype.size() > 0) {
-        if (scratch_) {
-          // Persistent mode: receives recycle the request states kept in
-          // the scratch's slot table (indexed by posting order).
-          s.pending.push_back(comm_.irecv_reuse(next_slot(), mpl::BOTTOM, 1,
-                                                r.recvtype, r.recvrank,
-                                                kCartTag));
-        } else {
-          s.pending.push_back(
-              comm_.irecv(mpl::BOTTOM, 1, r.recvtype, r.recvrank, kCartTag));
-        }
+        // Receives recycle the request states kept in the scratch's slot
+        // table (indexed by posting order).
+        s.pending.push_back(comm_.irecv_reuse(next_slot(), mpl::BOTTOM, 1,
+                                              r.recvtype, r.recvrank,
+                                              kCartTag));
         s.pending_round.push_back(j);
       }
       if (r.sendrank != mpl::PROC_NULL && r.sendtype.valid() &&
@@ -164,10 +157,8 @@ void Schedule::Execution::post_phase() {
           // By reference: the receiver copies straight from the round's
           // absolute datatype. Verifier rule (c) proves no receive of this
           // phase writes bytes a send of it reads.
-          std::shared_ptr<mpl::detail::ReqState> fresh;
-          mpl::Request sr =
-              comm_.isend_ref(scratch_ ? next_slot() : fresh, mpl::BOTTOM, 1,
-                              r.sendtype, r.sendrank, kCartTag);
+          mpl::Request sr = comm_.isend_ref(next_slot(), mpl::BOTTOM, 1,
+                                            r.sendtype, r.sendrank, kCartTag);
           if (!sr.test()) s.sends.push_back(std::move(sr));
         } else {
           comm_.isend(mpl::BOTTOM, 1, r.sendtype, r.sendrank, kCartTag);
@@ -209,7 +200,7 @@ void Schedule::Execution::finish_copies() {
 // Complete pending receives in posting order (deterministic virtual-clock
 // accounting), restoring each one's round scope for its recv_complete event.
 void Schedule::Execution::drain_pending() {
-  ExecutionScratch& s = sc();
+  ExecutionScratch& s = *scratch_;
   for (std::size_t i = s.head; i < s.pending.size(); ++i) {
     rec_->set_round(s.pending_round[i]);
     s.pending[i].wait();
@@ -224,7 +215,7 @@ void Schedule::Execution::drain_pending() {
 
 bool Schedule::Execution::test() {
   if (done_) return true;
-  ExecutionScratch& s = sc();
+  ExecutionScratch& s = *scratch_;
   // Complete any finished receives of the current phase (in order, so the
   // virtual-clock accounting stays deterministic). A head cursor marks the
   // completed prefix — no O(n) erase from the front of the table.
@@ -327,12 +318,6 @@ std::string Schedule::dump() const {
   return os.str();
 }
 
-std::size_t Schedule::temp_bytes() const noexcept {
-  std::size_t n = 0;
-  for (const auto& pool : temp_pools_) n += pool.size();
-  return n;
-}
-
 namespace {
 
 // Append the blocks of absolute datatype `t` to the builder (absolute
@@ -417,17 +402,20 @@ Schedule Schedule::merge(std::vector<Schedule> parts, bool coalesce) {
       }
       cursor[pi] += static_cast<std::size_t>(k);
     }
-    if (coalesce && !parts.empty()) {
-      phase = coalesce_phase(parts.front().grid_, std::move(phase));
+    if (coalesce && !parts.empty() && parts.front().grid_) {
+      phase = coalesce_phase(*parts.front().grid_, std::move(phase));
     }
     out.phase_rounds_.push_back(static_cast<int>(phase.size()));
     for (ScheduleRound& r : phase) out.rounds_.push_back(std::move(r));
   }
+  auto storage = std::make_shared<std::vector<std::shared_ptr<const void>>>();
   for (Schedule& p : parts) {
     out.send_blocks_ += p.send_blocks_;
+    out.temp_bytes_ += p.temp_bytes_;
     for (auto& c : p.copies_) out.copies_.push_back(std::move(c));
-    for (auto& pool : p.temp_pools_) out.temp_pools_.push_back(std::move(pool));
+    storage->push_back(std::move(p.storage_));
   }
+  out.storage_ = std::move(storage);
   if (!parts.empty()) out.grid_ = parts.front().grid_;
   return out;
 }

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,7 +45,8 @@ struct ScheduleRound {
   /// decide coalescing in a process-independent way: every process must
   /// fuse the same rounds or FIFO message pairing would break at mesh
   /// boundaries, so the decision is keyed on offsets, never on ranks.
-  std::vector<int> offset;
+  /// Views storage the schedule owns (its bind's arena).
+  std::span<const int> offset;
   /// Provenance of a PROC_NULL partner: set by the schedule builders when
   /// the round's offset leaves a non-periodic mesh from this process, so
   /// the executor and the verifier can distinguish an intentional
@@ -90,10 +92,13 @@ struct ExecutionScratch;
 /// for. Owns the temporary in-transit buffer. Schedules are precomputed by
 /// the *_init operations and reused across executions (the persistent
 /// usage of Section 2), or built on the fly by the non-persistent calls.
+/// Copies share the temp buffer (the round types address it anyway).
 class Schedule {
  public:
   /// Run the schedule (Listing 5): all rounds of a phase concurrently with
-  /// non-blocking operations, phases in order; local copies last.
+  /// non-blocking operations, phases in order; local copies last. Blocking
+  /// executions on one rank cannot overlap, so they all work out of one
+  /// ExecutionScratch per rank thread and recycle its receive states.
   void execute(const mpl::Comm& comm) const;
 
   class Execution;
@@ -102,13 +107,11 @@ class Schedule {
   /// library's progress engine; at most one execution of a given schedule
   /// may be in flight at a time (rounds share the schedule's tag and
   /// buffers). This is the non-blocking/persistent mode the paper
-  /// anticipates for the MPI Forum's persistent collectives.
-  [[nodiscard]] Execution start(const mpl::Comm& comm) const;
-
-  /// Like start(), but the execution works out of the caller-owned scratch
-  /// (see ExecutionScratch): repeated executions of one schedule reuse the
-  /// request table and recycle receive request states instead of
-  /// allocating. At most one execution may use a given scratch at a time.
+  /// anticipates for the MPI Forum's persistent collectives. The execution
+  /// works out of the caller-owned scratch (see ExecutionScratch), so
+  /// repeated executions reuse the request table and recycle receive
+  /// request states instead of allocating. At most one execution may use a
+  /// given scratch at a time.
   [[nodiscard]] Execution start(const mpl::Comm& comm,
                                 ExecutionScratch& scratch) const;
 
@@ -139,7 +142,7 @@ class Schedule {
   [[nodiscard]] int copy_count() const noexcept {
     return static_cast<int>(copies_.size());
   }
-  [[nodiscard]] std::size_t temp_bytes() const noexcept;
+  [[nodiscard]] std::size_t temp_bytes() const noexcept { return temp_bytes_; }
 
   /// True when this schedule carries a reduction (a fold program and an op).
   [[nodiscard]] bool reducing() const noexcept { return op_.valid(); }
@@ -173,11 +176,13 @@ class Schedule {
   std::vector<ScheduleRound> rounds_;
   std::vector<int> phase_rounds_;   // rounds per communication phase
   std::vector<ScheduleCopy> copies_;
-  mpl::CartGrid grid_;              // for offset congruence in merge()
-  // In-transit parking slots. Datatypes reference these buffers by absolute
-  // address, so pools are heap-allocated once and never reallocated; merge()
-  // adopts the pools of its parts to keep those addresses alive.
-  std::vector<std::vector<std::byte>> temp_pools_;
+  // For offset congruence in merge(); shared with the compiled plan.
+  std::shared_ptr<const mpl::CartGrid> grid_;
+  // What the rounds reference by address: a bind's arena (round types,
+  // in-transit temp pool, round offsets) or, after merge(), the storage of
+  // every part. Never reallocated, so those addresses stay valid.
+  std::shared_ptr<const void> storage_;
+  std::size_t temp_bytes_ = 0;
   long long send_blocks_ = 0;
   // Reducing schedules: the fold program (compile-order, phase-gated) and
   // the operator it folds with. Empty/invalid for movement schedules.
@@ -195,12 +200,13 @@ class Schedule {
 inline constexpr std::size_t kSingleCopyBytes = std::size_t{4} << 10;
 
 /// Reusable per-execution working set: the pending-request table and the
-/// receive request-state slots. A caller that executes the same schedule
-/// repeatedly (the persistent collectives) passes one of these to
-/// Schedule::start(comm, scratch); after a warm-up execution has sized the
-/// vectors and populated the slots, every further execution runs without
-/// heap allocation — requests land in retained capacity and receives
-/// recycle their request states via Comm::irecv_reuse.
+/// receive request-state slots, passed to Schedule::start(comm, scratch).
+/// A persistent collective keeps its own; blocking executions share one
+/// per rank thread (Schedule::execute). After a warm-up execution has
+/// sized the vectors and populated the slots, further executions of the
+/// schedule run without heap allocation — requests land in retained
+/// capacity and receives recycle their request states via
+/// Comm::irecv_reuse.
 struct ExecutionScratch {
   std::vector<mpl::Request> pending;
   std::vector<int> pending_round;  // round scope of each pending receive
@@ -243,16 +249,12 @@ class Schedule::Execution {
   [[nodiscard]] std::shared_ptr<mpl::detail::ReqState>& next_slot();
   void begin_phase_scope(int phase, bool comm_phase);
   void end_phase_scope();
-  [[nodiscard]] ExecutionScratch& sc() noexcept {
-    return scratch_ ? *scratch_ : own_;
-  }
 
   const Schedule* sched_ = nullptr;
   mpl::Comm comm_;
   std::size_t phase_ = 0;       // next phase to post
   std::size_t round_base_ = 0;  // first round index of that phase
-  ExecutionScratch* scratch_ = nullptr;  // caller-owned (persistent mode)
-  ExecutionScratch own_;                 // fallback for one-shot executions
+  ExecutionScratch* scratch_ = nullptr;  // caller-owned
   bool done_ = true;
   std::size_t next_fold_ = 0;  // applied prefix of the fold program
 
@@ -265,16 +267,31 @@ class Schedule::Execution {
   std::chrono::steady_clock::time_point t0_{};  // execution start
 };
 
-/// Incremental builder used by the alltoall/allgather schedule algorithms.
+/// Incremental builder used by CompiledPlan::bind.
 class ScheduleBuilder {
  public:
-  void set_grid(const mpl::CartGrid& grid) { s_.grid_ = grid; }
+  void set_grid(std::shared_ptr<const mpl::CartGrid> grid) {
+    s_.grid_ = std::move(grid);
+  }
+  void set_grid(const mpl::CartGrid& grid) {
+    set_grid(std::make_shared<const mpl::CartGrid>(grid));
+  }
 
-  /// Allocate an in-transit buffer; must be called before any round that
-  /// references its slots (addresses become part of the datatypes).
-  std::byte* allocate_temp(std::size_t bytes) {
-    s_.temp_pools_.emplace_back(bytes, std::byte{0});
-    return s_.temp_pools_.back().data();
+  /// Adopt the storage the rounds will reference (temp pool, offsets);
+  /// `temp_bytes` of it is the in-transit temp pool.
+  void set_storage(std::shared_ptr<const void> storage,
+                   std::size_t temp_bytes) {
+    s_.storage_ = std::move(storage);
+    s_.temp_bytes_ = temp_bytes;
+  }
+
+  /// Size every list up front, so building appends without reallocating.
+  void reserve(std::size_t rounds, std::size_t phases, std::size_t copies,
+               std::size_t folds) {
+    s_.rounds_.reserve(rounds);
+    s_.phase_rounds_.reserve(phases);
+    s_.copies_.reserve(copies);
+    s_.folds_.reserve(folds);
   }
 
   void add_round(ScheduleRound r, long long blocks_sent) {

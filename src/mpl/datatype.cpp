@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
+#include <tuple>
+#include <type_traits>
 
 #include "mpl/error.hpp"
 
@@ -10,9 +13,12 @@ namespace mpl {
 namespace detail {
 
 // Immutable node shared by Datatype handles. `blocks` is the canonical
-// flattened representation of ONE element, in typemap (pack) order.
+// flattened representation of ONE element, in typemap (pack) order. It
+// views either the node's own storage (OwnedNode) or a TypeArena's block
+// array; the node itself is trivially destructible so an arena can hold
+// many of them in one allocation.
 struct TypeNode {
-  std::vector<TypeBlock> blocks;
+  std::span<const TypeBlock> blocks;
   std::size_t size = 0;         // sum of block lengths
   std::ptrdiff_t lb = 0;        // lower bound (possibly resized)
   std::ptrdiff_t ub = 0;        // upper bound (lb + extent)
@@ -27,11 +33,19 @@ struct TypeNode {
            blocks[0].len == static_cast<std::size_t>(ub - lb);
   }
 };
+static_assert(std::is_trivially_destructible_v<TypeNode>);
+
+/// A node that owns its block list (every type not built in a TypeArena).
+struct OwnedNode : TypeNode {
+  std::vector<TypeBlock> storage;
+};
 
 namespace {
 
 // Append `b` to `out`, merging with the previous block when contiguous.
-void push_merged(std::vector<TypeBlock>& out, TypeBlock b) {
+// `Out` is a std::vector<TypeBlock> or a TypeArena's open block list.
+template <class Out>
+void push_merged(Out& out, TypeBlock b) {
   if (b.len == 0) return;
   if (!out.empty() &&
       out.back().disp + static_cast<std::ptrdiff_t>(out.back().len) == b.disp) {
@@ -49,11 +63,34 @@ void append_shifted(std::vector<TypeBlock>& out, const TypeNode& t,
   }
 }
 
+// Append the blocks of `count` elements of `n`, shifted by `base_disp`.
+template <class Out>
+void flatten_into(const TypeNode& n, std::ptrdiff_t base_disp, int count,
+                  Out& out) {
+  const std::ptrdiff_t ext = n.ub - n.lb;
+  if (count <= 0) return;
+  if (n.dense()) {
+    // Consecutive elements tile one range: the merged list of the
+    // element-wise loop below, in a single push.
+    push_merged(out, TypeBlock{base_disp + n.lb,
+                               static_cast<std::size_t>(ext) *
+                                   static_cast<std::size_t>(count)});
+    return;
+  }
+  for (int i = 0; i < count; ++i) {
+    const std::ptrdiff_t shift = base_disp + static_cast<std::ptrdiff_t>(i) * ext;
+    for (const TypeBlock& b : n.blocks) {
+      push_merged(out, TypeBlock{b.disp + shift, b.len});
+    }
+  }
+}
+
 std::shared_ptr<const TypeNode> make_node(std::vector<TypeBlock> blocks,
                                           std::ptrdiff_t lb, std::ptrdiff_t ub,
                                           bool absolute = false) {
-  auto n = std::make_shared<TypeNode>();
-  n->blocks = std::move(blocks);
+  auto n = std::make_shared<OwnedNode>();
+  n->storage = std::move(blocks);
+  n->blocks = n->storage;
   n->size = 0;
   for (const TypeBlock& b : n->blocks) n->size += b.len;
   n->lb = lb;
@@ -64,7 +101,7 @@ std::shared_ptr<const TypeNode> make_node(std::vector<TypeBlock> blocks,
 
 // Natural footprint [lb, ub) of a block list (0-width for empty types).
 std::pair<std::ptrdiff_t, std::ptrdiff_t> footprint(
-    const std::vector<TypeBlock>& blocks) {
+    std::span<const TypeBlock> blocks) {
   if (blocks.empty()) return {0, 0};
   std::ptrdiff_t lo = blocks.front().disp;
   std::ptrdiff_t hi = blocks.front().disp;
@@ -238,7 +275,8 @@ Datatype Datatype::subarray(std::span<const int> sizes,
 Datatype Datatype::resized(const Datatype& t, std::ptrdiff_t lb,
                            std::size_t extent) {
   const TypeNode& in = t.node();
-  return Datatype(detail::make_node(std::vector<TypeBlock>(in.blocks), lb,
+  return Datatype(detail::make_node(
+      std::vector<TypeBlock>(in.blocks.begin(), in.blocks.end()), lb,
                                     lb + static_cast<std::ptrdiff_t>(extent),
                                     in.absolute));
 }
@@ -252,23 +290,7 @@ std::span<const TypeBlock> Datatype::blocks() const { return node().blocks; }
 
 void Datatype::flatten(std::ptrdiff_t base_disp, int count,
                        std::vector<TypeBlock>& out) const {
-  const TypeNode& n = node();
-  const std::ptrdiff_t ext = n.ub - n.lb;
-  if (count <= 0) return;
-  if (n.dense()) {
-    // Consecutive elements tile one range: the merged list of the
-    // element-wise loop below, in a single push.
-    detail::push_merged(out, TypeBlock{base_disp + n.lb,
-                                       static_cast<std::size_t>(ext) *
-                                           static_cast<std::size_t>(count)});
-    return;
-  }
-  for (int i = 0; i < count; ++i) {
-    const std::ptrdiff_t shift = base_disp + static_cast<std::ptrdiff_t>(i) * ext;
-    for (const TypeBlock& b : n.blocks) {
-      detail::push_merged(out, TypeBlock{b.disp + shift, b.len});
-    }
-  }
+  detail::flatten_into(node(), base_disp, count, out);
 }
 
 void Datatype::pack(const void* base, int count, std::byte* out) const {
@@ -446,6 +468,74 @@ Datatype TypeBuilder::build() {
   blocks_.clear();
   size_ = 0;
   return t;
+}
+
+// -- TypeArena ------------------------------------------------------------------
+
+// The type under construction, as push_merged's output: the arena slice
+// from `open_` to `used_`, bounded by the counted capacity.
+struct TypeArena::OpenBlocks {
+  TypeArena& a;
+  [[nodiscard]] bool empty() const noexcept { return a.used_ == a.open_; }
+  TypeBlock& back() noexcept { return a.blocks_[a.used_ - 1]; }
+  void push_back(TypeBlock b) {
+    MPL_REQUIRE(a.used_ < a.block_cap_,
+                "TypeArena: more blocks appended than were counted");
+    a.blocks_[a.used_++] = b;
+  }
+};
+
+TypeArena::TypeArena(std::size_t types, std::size_t blocks,
+                     std::size_t extra)
+    : types_(types), block_cap_(blocks) {
+  constexpr std::size_t kAlign = alignof(std::max_align_t);
+  auto round_up = [](std::size_t n) {
+    return (n + kAlign - 1) / kAlign * kAlign;
+  };
+  const std::size_t node_bytes = round_up(types * sizeof(TypeNode));
+  const std::size_t block_bytes = round_up(blocks * sizeof(TypeBlock));
+  // Nodes and blocks are written before they are read; only the caller
+  // storage is promised zeroed.
+  mem_ = std::make_shared_for_overwrite<std::max_align_t[]>(
+      (node_bytes + block_bytes + round_up(extra)) / kAlign);
+  std::byte* base = reinterpret_cast<std::byte*>(mem_.get());
+  nodes_ = reinterpret_cast<TypeNode*>(base);
+  blocks_ = reinterpret_cast<TypeBlock*>(base + node_bytes);
+  extra_ = base + node_bytes + block_bytes;
+  std::memset(extra_, 0, extra);
+}
+
+std::size_t TypeArena::block_bound(int count, const Datatype& t) {
+  if (count <= 0) return 0;
+  const TypeNode& n = t.node();
+  return n.dense() ? 1
+                   : n.blocks.size() * static_cast<std::size_t>(count);
+}
+
+void TypeArena::append(const void* addr, int count, const Datatype& t) {
+  MPL_REQUIRE(count >= 0, "TypeArena::append: negative count");
+  OpenBlocks out{*this};
+  detail::flatten_into(t.node(), reinterpret_cast<std::ptrdiff_t>(addr), count,
+                       out);
+}
+
+void TypeArena::append_bytes(const void* addr, std::size_t nbytes) {
+  OpenBlocks out{*this};
+  detail::push_merged(
+      out, TypeBlock{reinterpret_cast<std::ptrdiff_t>(addr), nbytes});
+}
+
+Datatype TypeArena::build() {
+  MPL_REQUIRE(next_type_ < types_,
+              "TypeArena: more types built than were counted");
+  const std::span<const TypeBlock> blocks(blocks_ + open_, used_ - open_);
+  TypeNode* n = ::new (static_cast<void*>(nodes_ + next_type_++)) TypeNode;
+  n->blocks = blocks;
+  for (const TypeBlock& b : blocks) n->size += b.len;
+  std::tie(n->lb, n->ub) = detail::footprint(blocks);
+  n->absolute = true;
+  open_ = used_;
+  return Datatype(std::shared_ptr<const TypeNode>(mem_, n));
 }
 
 }  // namespace mpl

@@ -8,7 +8,8 @@
 // resized), as well as a TypeBuilder that appends absolute-address blocks
 // the way Algorithm 1 of the paper appends blocks to a send/receive type
 // ("TypeApp"); such types are used with mpl::BOTTOM as the buffer address,
-// exactly like MPI_BOTTOM in Listing 5 of the paper.
+// exactly like MPI_BOTTOM in Listing 5 of the paper. A TypeArena builds
+// many such types into one allocation (a schedule bind's round types).
 //
 // The block list is computed eagerly at construction (datatypes in this
 // library describe stencil halos and schedule rounds, i.e. hundreds to a
@@ -150,6 +151,7 @@ class Datatype {
 
  private:
   friend class TypeBuilder;
+  friend class TypeArena;
   friend std::size_t copy_typed_bytes(const void*, int, const Datatype&,
                                       void*, int, const Datatype&,
                                       std::size_t);
@@ -193,6 +195,49 @@ class TypeBuilder {
  private:
   std::vector<TypeBlock> blocks_;
   std::size_t size_ = 0;
+};
+
+/// Many absolute-address types built into one allocation, sized up front
+/// by a counting pass: room for `types` types holding at most `blocks`
+/// blocks between them (block_bound() summed over every append), plus
+/// `extra` zeroed bytes of caller storage. Types are built one after
+/// another with TypeBuilder's interface, and each gets the block list,
+/// size, lower bound and extent TypeBuilder would give it. Every handle
+/// shares ownership of the whole allocation, so the extra bytes live as
+/// long as any type built here, or as long as owner().
+class TypeArena {
+ public:
+  TypeArena(std::size_t types, std::size_t blocks, std::size_t extra);
+
+  /// Upper bound on the blocks append(addr, count, t) adds (merging with
+  /// the previous block only lowers it).
+  [[nodiscard]] static std::size_t block_bound(int count, const Datatype& t);
+
+  /// Append to the type under construction, as TypeBuilder does.
+  void append(const void* addr, int count, const Datatype& t);
+  void append_bytes(const void* addr, std::size_t nbytes);
+
+  /// Close the type under construction; the next append starts a new one.
+  Datatype build();
+
+  /// The caller storage (aligned for any scalar type).
+  [[nodiscard]] std::byte* extra() const noexcept { return extra_; }
+  [[nodiscard]] std::shared_ptr<const void> owner() const noexcept {
+    return mem_;
+  }
+
+ private:
+  struct OpenBlocks;
+
+  std::shared_ptr<std::max_align_t[]> mem_;
+  detail::TypeNode* nodes_ = nullptr;
+  std::size_t types_ = 0;
+  std::size_t next_type_ = 0;
+  TypeBlock* blocks_ = nullptr;
+  std::size_t block_cap_ = 0;
+  std::size_t used_ = 0;  // blocks written so far
+  std::size_t open_ = 0;  // first block of the type under construction
+  std::byte* extra_ = nullptr;
 };
 
 }  // namespace mpl

@@ -83,7 +83,9 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
 void FaultConfig::apply_env() {
   if (const char* p = std::getenv("MPL_FAULTS"); p && *p) merge(p);
   if (const char* p = std::getenv("MPL_TIMEOUT_MS"); p && *p) {
-    timeout_ms = parse_double("MPL_TIMEOUT_MS", p);
+    // A ceiling: a tighter timeout the program armed itself stays.
+    const double env = parse_double("MPL_TIMEOUT_MS", p);
+    if (timeout_ms <= 0.0 || (env > 0.0 && env < timeout_ms)) timeout_ms = env;
   }
 }
 

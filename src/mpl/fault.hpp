@@ -45,8 +45,10 @@ struct RuntimeState;
 ///               straggler_frac=0.25,straggler=1e-6,pool_miss=0.5,
 ///               pool_cap=4,timeout_ms=500,watchdog_ms=1000"
 ///
-/// Keys absent from the spec keep their programmatic values; MPL_TIMEOUT_MS
-/// overrides timeout_ms alone (used by ctest to bound every blocking wait).
+/// Keys absent from the spec keep their programmatic values. MPL_TIMEOUT_MS
+/// is a ceiling on timeout_ms alone: it arms the timeout when the program
+/// did not and lowers a longer one, but a tighter programmatic timeout
+/// stays (ctest sets it to bound every blocking wait).
 struct FaultConfig {
   /// Base seed of every fault decision (combined with rank/sequence).
   std::uint64_t seed = 1;

@@ -4,8 +4,8 @@
 // (sum/prod/min/max/bit ops) carry an identity element and a deterministic
 // digest so structurally equal plans are shared through the plan cache;
 // user-defined ops get a process-unique digest (two distinct user ops never
-// alias each other in the bound-schedule cache, at the cost of one compiled
-// plan per op instance).
+// share a plan-cache entry, at the cost of one compiled plan per op
+// instance).
 //
 // Commutativity matters for algorithm selection only: the message-combining
 // reduction tree reassociates and reorders contributions, so non-commutative
@@ -196,8 +196,7 @@ class ReduceOp {
     st->commutative = commutative;
     st->name = tagged<T>(std::move(name));
     // Process-unique salt: the fold function itself cannot be hashed, so two
-    // user ops must never share a digest (the bound-schedule cache embeds the
-    // op).
+    // user ops must never share a digest (the reduce plan key includes it).
     static std::atomic<std::uint64_t> next{1};
     st->digest = state_digest(*st, next.fetch_add(1, std::memory_order_relaxed));
     ReduceOp op;

@@ -55,11 +55,11 @@ std::vector<int> CartGrid::coords_of(int rank) const {
 }
 
 int CartGrid::rank_at_offset(std::span<const int> coords,
-                             std::span<const int> offset) const {
+                             std::span<const int> offset, int sign) const {
   MPL_REQUIRE(offset.size() == dims_.size(), "rank_at_offset: wrong arity");
   int r = 0;
   for (std::size_t k = 0; k < dims_.size(); ++k) {
-    int c = coords[k] + offset[k];
+    int c = coords[k] + sign * offset[k];
     if (periods_[k] != 0) {
       c = pos_mod(c, dims_[k]);
     } else if (c < 0 || c >= dims_[k]) {
@@ -80,11 +80,8 @@ int CartComm::relative_rank(std::span<const int> rel) const {
 }
 
 std::pair<int, int> CartComm::relative_shift(std::span<const int> rel) const {
-  std::vector<int> neg(rel.size());
-  for (std::size_t k = 0; k < rel.size(); ++k) neg[k] = -rel[k];
-  const int dest = grid_.rank_at_offset(my_coords_, rel);
-  const int src = grid_.rank_at_offset(my_coords_, neg);
-  return {src, dest};
+  return {grid_.rank_at_offset(my_coords_, rel, -1),
+          grid_.rank_at_offset(my_coords_, rel)};
 }
 
 CartComm cart_create(const Comm& comm, std::span<const int> dims,

@@ -33,10 +33,11 @@ class CartGrid {
   void coords_of(int rank, std::span<int> coords) const;
   [[nodiscard]] std::vector<int> coords_of(int rank) const;
 
-  /// Rank at `coords + offset`, wrapping periodic dimensions; PROC_NULL when
-  /// a non-periodic dimension falls off the mesh.
+  /// Rank at `coords + sign * offset`, wrapping periodic dimensions;
+  /// PROC_NULL when a non-periodic dimension falls off the mesh.
   [[nodiscard]] int rank_at_offset(std::span<const int> coords,
-                                   std::span<const int> offset) const;
+                                   std::span<const int> offset,
+                                   int sign = 1) const;
 
  private:
   std::vector<int> dims_;

@@ -36,12 +36,6 @@ std::vector<int> canonical_offset(const mpl::CartGrid& grid,
   return c;
 }
 
-std::vector<int> negated(std::span<const int> off) {
-  std::vector<int> n(off.size());
-  for (std::size_t i = 0; i < off.size(); ++i) n[i] = -off[i];
-  return n;
-}
-
 std::string offset_str(std::span<const int> off) {
   std::ostringstream os;
   os << '(';
@@ -83,9 +77,7 @@ void check_round_geometry(VerifyReport& rep, const mpl::CartGrid& grid,
                           int round, std::span<const int> offset, int partner,
                           bool boundary_flag, bool is_send) {
   if (offset.size() != static_cast<std::size_t>(grid.ndims())) return;
-  const std::vector<int> rel =
-      is_send ? std::vector<int>(offset.begin(), offset.end()) : negated(offset);
-  const int expected = grid.rank_at_offset(coords, rel);
+  const int expected = grid.rank_at_offset(coords, offset, is_send ? 1 : -1);
   const char* dir = is_send ? "send" : "receive";
   if (partner == mpl::PROC_NULL) {
     if (!boundary_flag) {
@@ -163,7 +155,7 @@ ScheduleSummary summarize(const Schedule& s, const CartNeighborComm& cc) {
       rs.recv_bytes = static_cast<long long>(r.recvtype.size());
       rs.recv_blocks = static_cast<int>(r.recvtype.block_count());
     }
-    rs.offset = r.offset;
+    rs.offset.assign(r.offset.begin(), r.offset.end());
     sum.rounds.push_back(std::move(rs));
   }
   return sum;

@@ -439,6 +439,43 @@ TEST_F(FaultResilience, WatchdogReportsWedgedCollective) {
   EXPECT_LT(secs, 10.0) << "watchdog did not fire promptly";
 }
 
+TEST_F(FaultResilience, EnvTimeoutIsACeilingNotAnOverride) {
+  // ctest exports a generous MPL_TIMEOUT_MS to every test; a program that
+  // arms a tighter timeout itself must keep it.
+  setenv("MPL_TIMEOUT_MS", "20000", 1);
+  struct Unset {
+    ~Unset() { unsetenv("MPL_TIMEOUT_MS"); }
+  } unset;
+  FaultConfig c;
+  c.timeout_ms = 200;
+  c.apply_env();
+  EXPECT_DOUBLE_EQ(c.timeout_ms, 200.0);
+  c.timeout_ms = 60000;
+  c.apply_env();
+  EXPECT_DOUBLE_EQ(c.timeout_ms, 20000.0);
+  c.timeout_ms = 0;  // not armed by the program: the environment arms it
+  c.apply_env();
+  EXPECT_DOUBLE_EQ(c.timeout_ms, 20000.0);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  mpl::RunOptions opts;
+  opts.faults.timeout_ms = 200;
+  EXPECT_THROW(mpl::run(
+                   2,
+                   [](mpl::Comm& world) {
+                     if (world.rank() == 0) {
+                       int v = -1;
+                       world.recv(&v, 1, mpl::Datatype::of<int>(), 1, 9);
+                     }
+                   },
+                   opts),
+               mpl::TimeoutError);
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_LT(secs, 5.0) << "MPL_TIMEOUT_MS overrode the tighter timeout";
+}
+
 TEST_F(FaultResilience, EnvSpecOverridesProgrammaticConfig) {
   setenv("MPL_FAULTS", "drop=1.0,retries=2", 1);
   mpl::RunOptions opts;

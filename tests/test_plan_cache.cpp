@@ -6,6 +6,7 @@
 // ranks, and the counters must flow through to OpenMetrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -268,39 +269,56 @@ TEST_F(PlanCache, HammerMixedSignaturesUnderTinyCap) {
   // Tiny cap: per-shard cap is (4+7)/8 = 1, so at most 8 entries survive
   // and six distinct signatures force constant insert/evict churn while
   // nine rank threads race lookups. Every iteration is element-checked.
+  // Two buffer inputs: fresh vectors every iteration, and a per-rank ring
+  // of buffer pairs larger than plan_cache_cap(), so consecutive calls
+  // bind to different addresses. Either way every call is one lookup.
   cartcomm::plan_cache_set_cap(4);
-  const auto before = telemetry::plan_cache_totals();
-  mpl::run(9, [&](mpl::Comm& world) {
-    const Neighborhood nb = Neighborhood::moore(2);
-    const std::vector<int> dims{3, 3};
-    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
-    const int t = nb.count();
-    for (int iter = 0; iter < 12; ++iter) {
-      const int m = 1 + iter % 6;  // six distinct cache keys
-      std::vector<int> sb(static_cast<std::size_t>(t) * m);
-      std::vector<int> rb(static_cast<std::size_t>(t) * m, -777);
-      for (int i = 0; i < t; ++i)
-        for (int e = 0; e < m; ++e)
-          sb[static_cast<std::size_t>(i) * m + e] =
-              carttest::pattern(world.rank(), i, e);
-      cartcomm::alltoall(sb.data(), m, mpl::Datatype::of<int>(), rb.data(), m,
-                         mpl::Datatype::of<int>(), cc, Algorithm::combining);
-      for (int i = 0; i < t; ++i) {
-        const int src = cc.source_ranks()[static_cast<std::size_t>(i)];
-        for (int e = 0; e < m; ++e) {
-          ASSERT_EQ(rb[static_cast<std::size_t>(i) * m + e],
-                    carttest::pattern(src, i, e))
-              << "rank " << world.rank() << " iter " << iter << " block " << i;
+  for (const bool ring : {false, true}) {
+    const auto before = telemetry::plan_cache_totals();
+    mpl::run(9, [&](mpl::Comm& world) {
+      const Neighborhood nb = Neighborhood::moore(2);
+      const std::vector<int> dims{3, 3};
+      auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+      const int t = nb.count();
+      const std::size_t ring_size = cartcomm::plan_cache_cap() + 3;
+      const std::size_t max_elems = static_cast<std::size_t>(t) * 6;
+      std::vector<std::vector<int>> ring_sb(ring_size,
+                                            std::vector<int>(max_elems));
+      std::vector<std::vector<int>> ring_rb(ring_size,
+                                            std::vector<int>(max_elems));
+      for (int iter = 0; iter < 12; ++iter) {
+        const int m = 1 + iter % 6;  // six distinct cache keys
+        const std::size_t elems = static_cast<std::size_t>(t) * m;
+        std::vector<int> fresh_sb(elems), fresh_rb(elems);
+        const std::size_t slot = static_cast<std::size_t>(iter) % ring_size;
+        int* sb = ring ? ring_sb[slot].data() : fresh_sb.data();
+        int* rb = ring ? ring_rb[slot].data() : fresh_rb.data();
+        std::fill(rb, rb + elems, -777);
+        for (int i = 0; i < t; ++i)
+          for (int e = 0; e < m; ++e)
+            sb[static_cast<std::size_t>(i) * m + e] =
+                carttest::pattern(world.rank(), i, e);
+        cartcomm::alltoall(sb, m, mpl::Datatype::of<int>(), rb, m,
+                           mpl::Datatype::of<int>(), cc, Algorithm::combining);
+        for (int i = 0; i < t; ++i) {
+          const int src = cc.source_ranks()[static_cast<std::size_t>(i)];
+          for (int e = 0; e < m; ++e) {
+            ASSERT_EQ(rb[static_cast<std::size_t>(i) * m + e],
+                      carttest::pattern(src, i, e))
+                << "rank " << world.rank() << " iter " << iter << " block "
+                << i << (ring ? " (ring)" : "");
+          }
         }
       }
-    }
-  });
-  EXPECT_LE(cartcomm::plan_cache_size(), 8u);  // 8 shards x per-shard cap 1
-  const auto after = telemetry::plan_cache_totals();
-  // 9 ranks x 12 iterations: every build either hit or missed.
-  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
-            9u * 12u);
-  EXPECT_GT(after.hits, before.hits);
+    });
+    EXPECT_LE(cartcomm::plan_cache_size(), 8u);  // 8 shards x per-shard cap 1
+    const auto after = telemetry::plan_cache_totals();
+    // 9 ranks x 12 iterations: every call either hit or missed.
+    EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+              9u * 12u)
+        << (ring ? "ring" : "fresh");
+    EXPECT_GT(after.hits, before.hits);
+  }
 }
 
 TEST_F(PlanCache, CapRespectedAcrossManySignatures) {
@@ -365,10 +383,9 @@ TEST_F(PlanCache, LiveCountersFlowIntoTotals) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PlanCache, ReducePlansHitTheCacheWithExactAccounting) {
-  // Buffers live outside mpl::run so the bound-schedule keys (plan + rank
-  // + addresses) are stable across passes. Pass 1: one plan compile (miss)
-  // + eight plan hits; pass 2: nine bound-schedule hits. Every build is
-  // exactly one hit or one miss: hits + misses == builds.
+  // Every call is one plan lookup. Pass 1: one plan compile (miss) + eight
+  // hits; pass 2: nine hits. Every call is exactly one hit or one miss:
+  // hits + misses == calls.
   const auto before = telemetry::plan_cache_totals();
   std::vector<long long> mine(9), out(9);
   auto pass = [&] {

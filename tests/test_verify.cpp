@@ -394,8 +394,9 @@ TEST(VerifyNegativeLocal, ExecutionRefusesNullPartnerWithoutProvenance) {
     int payload = 0;
     mpl::TypeBuilder tb;
     tb.append_bytes(&payload, sizeof payload);
+    static const int offset[1] = {0};
     b.add_round({mpl::PROC_NULL, mpl::PROC_NULL, tb.build(), mpl::Datatype(),
-                 {0}, /*send_boundary=*/false, /*recv_boundary=*/false},
+                 offset, /*send_boundary=*/false, /*recv_boundary=*/false},
                 0);
     b.end_phase();
     const cartcomm::Schedule sched = b.finish();
